@@ -20,7 +20,18 @@ BUILD="${ROOT}/build-tsan"
 cmake -B "${BUILD}" -S "${ROOT}" -G Ninja \
     -DSLAPO_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${BUILD}" -j
+# A filtered run (-R, as the ctest gates use) needs only the test
+# executables; a whole-suite run by hand also needs the benches and
+# examples the smoke tests drive. Jobs are bounded by the core count:
+# the three sanitizer gates share a ctest RESOURCE_LOCK
+# (bench/CMakeLists.txt), so no two of them build at once.
+targets=()
+for arg in "$@"; do
+    case "${arg}" in
+      -R*|--tests-regex*) targets=(--target slapo_tests) ;;
+    esac
+done
+cmake --build "${BUILD}" "${targets[@]}" -j "$(nproc)"
 
 # Second-guess TSan's default behaviour of continuing after a report:
 # any race fails the run.

@@ -24,7 +24,18 @@ command -v ninja >/dev/null 2>&1 && gen=(-G Ninja)
 cmake -B "${BUILD}" -S "${ROOT}" "${gen[@]}" \
     -DSLAPO_SANITIZE=undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${BUILD}" -j
+# A filtered run (-R, as the ctest gates use) needs only the test
+# executables; a whole-suite run by hand also needs the benches and
+# examples the smoke tests drive. Jobs are bounded by the core count:
+# the three sanitizer gates share a ctest RESOURCE_LOCK
+# (bench/CMakeLists.txt), so no two of them build at once.
+targets=()
+for arg in "$@"; do
+    case "${arg}" in
+      -R*|--tests-regex*) targets=(--target slapo_tests) ;;
+    esac
+done
+cmake --build "${BUILD}" "${targets[@]}" -j "$(nproc)"
 
 # The build already passes -fno-sanitize-recover=all, so any report
 # aborts the offending test; print_stacktrace makes the one-line UBSan

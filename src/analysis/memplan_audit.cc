@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/op_schema.h"
 #include "nn/module.h"
 
 namespace slapo {
@@ -117,10 +118,10 @@ auditMemPlan(const graph::Graph& graph, const MemPlan& plan,
         // In-place marks must satisfy the planner's full contract; any
         // violation can alias a live buffer into a kernel that writes it.
         if (n->kind() != NodeKind::CallOp || n->inputs().empty() ||
-            !graph::inplaceEligible(n->op())) {
+            graph::opSchema(n->op()).inplace == nullptr) {
             reportAt(diags, "SLP403",
-                     "in-place mark on a node that is not an eligible "
-                     "elementwise/row-local op",
+                     "in-place mark on a node whose op has no in-place "
+                     "twin",
                      module_path, n);
             continue;
         }

@@ -3,6 +3,8 @@
 #include <optional>
 #include <sstream>
 
+#include "graph/op_schema.h"
+
 namespace slapo {
 namespace analysis {
 
@@ -126,6 +128,13 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
 {
     const OpKind op = node->op();
     const size_t arity = node->inputs().size();
+    const graph::OpSchema& schema = graph::opSchema(op);
+    if (arity < static_cast<size_t>(schema.min_arity) ||
+        arity > static_cast<size_t>(schema.max_arity)) {
+        badInputs(node, "takes " + graph::arityText(schema) +
+                            " inputs, got " + std::to_string(arity));
+        return;
+    }
     const Shape* a = inShape(node, 0);
     const Shape* b = inShape(node, 1);
 
@@ -138,7 +147,7 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
       case OpKind::Sub:
       case OpKind::Mul:
       case OpKind::Div: {
-        if (arity != 2 || a == nullptr || b == nullptr) {
+        if (a == nullptr || b == nullptr) {
             badInputs(node, "binary op needs two inputs");
             break;
         }
@@ -186,7 +195,7 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
         break;
       }
       case OpKind::RelPosBias: {
-        if (arity != 2 || a == nullptr || b == nullptr) {
+        if (a == nullptr || b == nullptr) {
             badInputs(node, "rel_pos_bias needs (scores, table)");
             break;
         }
@@ -202,7 +211,7 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
       }
       case OpKind::LayerNormOp:
       case OpKind::BatchNormOp: {
-        if (arity != 3 || a == nullptr) {
+        if (a == nullptr) {
             badInputs(node, "normalization needs (x, gamma, beta)");
             break;
         }
@@ -221,7 +230,7 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
         break;
       }
       case OpKind::Matmul: {
-        if (arity != 2 || a == nullptr || b == nullptr) {
+        if (a == nullptr || b == nullptr) {
             badInputs(node, "matmul needs two inputs");
             break;
         }
@@ -248,7 +257,7 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
         break;
       }
       case OpKind::LinearOp: {
-        if ((arity != 2 && arity != 3) || a == nullptr || b == nullptr) {
+        if (a == nullptr || b == nullptr) {
             badInputs(node, "linear needs (x, weight[, bias])");
             break;
         }
@@ -328,7 +337,7 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
         break;
       }
       case OpKind::Concat: {
-        if (arity == 0 || a == nullptr || !node->hasAttr("axis")) {
+        if (a == nullptr || !node->hasAttr("axis")) {
             badInputs(node, "concat needs inputs and an 'axis' attr");
             break;
         }
@@ -389,7 +398,7 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
         break;
       }
       case OpKind::EmbeddingOp: {
-        if (arity != 2 || a == nullptr || b == nullptr) {
+        if (a == nullptr || b == nullptr) {
             badInputs(node, "embedding needs (ids, table)");
             break;
         }
@@ -413,7 +422,7 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
       }
       case OpKind::CrossEntropyOp:
       case OpKind::MseLossOp: {
-        if (arity != 2 || a == nullptr || b == nullptr) {
+        if (a == nullptr || b == nullptr) {
             badInputs(node, "loss needs (prediction, target)");
             break;
         }
@@ -429,7 +438,7 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
         break;
       }
       case OpKind::Conv2dOp: {
-        if (arity != 2 || a == nullptr || b == nullptr) {
+        if (a == nullptr || b == nullptr) {
             badInputs(node, "conv2d needs (x, w)");
             break;
         }

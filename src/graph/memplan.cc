@@ -6,6 +6,8 @@
 #include <sstream>
 #include <string_view>
 
+#include "graph/op_schema.h"
+
 namespace slapo {
 namespace graph {
 
@@ -60,33 +62,6 @@ setMemPlanEnabled(bool enabled)
     g_enabled_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
-bool
-inplaceEligible(OpKind op)
-{
-    switch (op) {
-      // Elementwise maps: per-element arithmetic is index-local, so
-      // writing over the input is bit-identical to a fresh output.
-      case OpKind::Add:
-      case OpKind::Sub:
-      case OpKind::Mul:
-      case OpKind::Div:
-      case OpKind::Scale:
-      case OpKind::AddScalar:
-      case OpKind::Gelu:
-      case OpKind::Relu:
-      case OpKind::Tanh:
-      case OpKind::Clamp:
-      case OpKind::RangeMask:
-      case OpKind::CausalMask:
-      // Row-local: softmax reads each element before overwriting it
-      // within a sequential per-row pass.
-      case OpKind::Softmax:
-        return true;
-      default:
-        return false;
-    }
-}
-
 std::shared_ptr<const MemPlan>
 buildMemPlan(const Graph& g, const std::vector<Shape>& input_shapes)
 {
@@ -135,13 +110,14 @@ buildMemPlan(const Graph& g, const std::vector<Shape>& input_shapes)
             plan->actions[n->id()].release_after.push_back(n->id());
         }
 
-        // In-place eligibility: elementwise CallOp whose first input
+        // In-place eligibility: a CallOp with an in-place twin in the op
+        // table whose first input
         //  - dies at this node (so the move below is its last read),
         //  - appears exactly once in the input list (add(x, x) must not
         //    move x out from under its second read),
         //  - has a single output and the same declared shape as ours.
         if (n->kind() != NodeKind::CallOp || n->inputs().empty() ||
-            !inplaceEligible(n->op())) {
+            opSchema(n->op()).inplace == nullptr) {
             continue;
         }
         const Node* src = n->inputs()[0];

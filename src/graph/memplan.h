@@ -8,13 +8,13 @@
  *    last use at this node — the executor drops them immediately, so a
  *    value's storage returns to the caching allocator (tensor/alloc.h)
  *    as soon as dataflow allows instead of at end of graph;
- *  - `inplace`: this CallOp is an elementwise/row-local op whose output
- *    matches input 0's shape and whose input 0 dies here, so the kernel
- *    may overwrite input 0's buffer in place. The executor still guards
- *    with a runtime storage-unique check (Tensor::storageUseCount), so
- *    aliases — reshape views, caller-held inputs, parameters — are
- *    never mutated; when the guard fails the op simply runs
- *    out-of-place.
+ *  - `inplace`: this CallOp's op has an in-place twin in the op table
+ *    (graph/op_schema.h), its output matches input 0's shape and its
+ *    input 0 dies here, so the twin may overwrite input 0's buffer.
+ *    The executor still guards with a runtime storage-unique check
+ *    (Tensor::storageUseCount), so aliases — reshape views, caller-held
+ *    inputs, parameters — are never mutated; when the guard fails the op
+ *    simply runs out-of-place.
  *
  * Plans are cached inside the Graph (Graph::memPlanCache), keyed by the
  * input-shape signature and invalidated when a schedule primitive
@@ -73,9 +73,6 @@ bool memPlanEnabled();
 
 /** Programmatic override of SLAPO_MEMPLAN (tests; thread-safe). */
 void setMemPlanEnabled(bool enabled);
-
-/** True if `op` has an in-place twin the executor can dispatch to. */
-bool inplaceEligible(OpKind op);
 
 /** Build a plan for `g` (uncached). `input_shapes` are the runtime
  * placeholder shapes; statically ineligible nodes are never marked

@@ -3,48 +3,15 @@
 #include <algorithm>
 #include <sstream>
 
+#include "graph/op_schema.h"
+
 namespace slapo {
 namespace graph {
 
 const char*
 opKindName(OpKind kind)
 {
-    switch (kind) {
-      case OpKind::Add: return "add";
-      case OpKind::Sub: return "sub";
-      case OpKind::Mul: return "mul";
-      case OpKind::Div: return "div";
-      case OpKind::Scale: return "scale";
-      case OpKind::AddScalar: return "add_scalar";
-      case OpKind::Gelu: return "gelu";
-      case OpKind::Relu: return "relu";
-      case OpKind::Tanh: return "tanh";
-      case OpKind::Clamp: return "clamp";
-      case OpKind::RangeMask: return "range_mask";
-      case OpKind::CausalMask: return "causal_mask";
-      case OpKind::RelPosBias: return "rel_pos_bias";
-      case OpKind::Softmax: return "softmax";
-      case OpKind::LayerNormOp: return "layer_norm";
-      case OpKind::Dropout: return "dropout";
-      case OpKind::Matmul: return "matmul";
-      case OpKind::LinearOp: return "linear";
-      case OpKind::TransposeLast2: return "transpose";
-      case OpKind::Reshape: return "reshape";
-      case OpKind::Permute: return "permute";
-      case OpKind::Concat: return "concat";
-      case OpKind::Narrow: return "narrow";
-      case OpKind::EmbeddingOp: return "embedding";
-      case OpKind::CrossEntropyOp: return "cross_entropy";
-      case OpKind::MseLossOp: return "mse_loss";
-      case OpKind::Conv2dOp: return "conv2d";
-      case OpKind::BatchNormOp: return "batch_norm";
-      case OpKind::GlobalAvgPoolOp: return "global_avg_pool";
-      case OpKind::AllReduce: return "all_reduce";
-      case OpKind::AllGather: return "all_gather";
-      case OpKind::ReduceScatter: return "reduce_scatter";
-      case OpKind::Identity: return "identity";
-    }
-    return "unknown";
+    return opSchema(kind).name;
 }
 
 void
@@ -65,38 +32,44 @@ Node::shape(size_t i) const
     return shapes_[i];
 }
 
-int64_t
-Node::attrInt(const std::string& key) const
+namespace {
+
+const Attr&
+findAttr(const AttrMap& attrs, const std::string& key, std::string_view owner)
 {
-    auto it = attrs_.find(key);
-    SLAPO_CHECK(it != attrs_.end(), "node " << name_ << ": missing attr " << key);
-    if (const auto* v = std::get_if<int64_t>(&it->second)) return *v;
-    return static_cast<int64_t>(std::get<double>(it->second));
+    auto it = attrs.find(key);
+    SLAPO_CHECK(it != attrs.end(), "node " << owner << ": missing attr " << key);
+    return it->second;
+}
+
+} // namespace
+
+int64_t
+attrInt(const AttrMap& attrs, const std::string& key, std::string_view owner)
+{
+    const Attr& a = findAttr(attrs, key, owner);
+    if (const auto* v = std::get_if<int64_t>(&a)) return *v;
+    return static_cast<int64_t>(std::get<double>(a));
 }
 
 double
-Node::attrFloat(const std::string& key) const
+attrFloat(const AttrMap& attrs, const std::string& key, std::string_view owner)
 {
-    auto it = attrs_.find(key);
-    SLAPO_CHECK(it != attrs_.end(), "node " << name_ << ": missing attr " << key);
-    if (const auto* v = std::get_if<double>(&it->second)) return *v;
-    return static_cast<double>(std::get<int64_t>(it->second));
+    const Attr& a = findAttr(attrs, key, owner);
+    if (const auto* v = std::get_if<double>(&a)) return *v;
+    return static_cast<double>(std::get<int64_t>(a));
 }
 
 const std::string&
-Node::attrStr(const std::string& key) const
+attrStr(const AttrMap& attrs, const std::string& key, std::string_view owner)
 {
-    auto it = attrs_.find(key);
-    SLAPO_CHECK(it != attrs_.end(), "node " << name_ << ": missing attr " << key);
-    return std::get<std::string>(it->second);
+    return std::get<std::string>(findAttr(attrs, key, owner));
 }
 
 const std::vector<int64_t>&
-Node::attrInts(const std::string& key) const
+attrInts(const AttrMap& attrs, const std::string& key, std::string_view owner)
 {
-    auto it = attrs_.find(key);
-    SLAPO_CHECK(it != attrs_.end(), "node " << name_ << ": missing attr " << key);
-    return std::get<std::vector<int64_t>>(it->second);
+    return std::get<std::vector<int64_t>>(findAttr(attrs, key, owner));
 }
 
 std::string

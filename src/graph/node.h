@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -72,8 +73,11 @@ enum class OpKind
     AllReduce,     // attr "group" (unused placeholder), sums across ranks
     AllGather,     // attr "axis"
     ReduceScatter, // attr "axis"
-    Identity,
+    Identity,      // keep last: kNumOpKinds counts up to it
 };
+
+/** Number of OpKind enumerators (the op table's size). */
+inline constexpr size_t kNumOpKinds = static_cast<size_t>(OpKind::Identity) + 1;
 
 /** Human-readable op name (used by pattern regexes and dumps). */
 const char* opKindName(OpKind kind);
@@ -92,6 +96,22 @@ enum class NodeKind
 
 /** Attribute value attached to a node. */
 using Attr = std::variant<int64_t, double, std::string, std::vector<int64_t>>;
+using AttrMap = std::map<std::string, Attr>;
+
+/**
+ * Typed attribute reads shared by Node and the op table. Ints and floats
+ * convert into each other; a missing key raises SlapoError naming
+ * `owner` (the node or op).
+ */
+int64_t attrInt(const AttrMap& attrs, const std::string& key,
+                std::string_view owner);
+double attrFloat(const AttrMap& attrs, const std::string& key,
+                 std::string_view owner);
+const std::string& attrStr(const AttrMap& attrs, const std::string& key,
+                           std::string_view owner);
+const std::vector<int64_t>& attrInts(const AttrMap& attrs,
+                                     const std::string& key,
+                                     std::string_view owner);
 
 /**
  * Which schedule decision produced a node. Stamped by the schedule
@@ -163,11 +183,17 @@ class Node
     // Attributes.
     void setAttr(const std::string& key, Attr value) { attrs_[key] = std::move(value); }
     bool hasAttr(const std::string& key) const { return attrs_.count(key) > 0; }
-    int64_t attrInt(const std::string& key) const;
-    double attrFloat(const std::string& key) const;
-    const std::string& attrStr(const std::string& key) const;
-    const std::vector<int64_t>& attrInts(const std::string& key) const;
-    const std::map<std::string, Attr>& attrs() const { return attrs_; }
+    int64_t attrInt(const std::string& key) const { return graph::attrInt(attrs_, key, name_); }
+    double attrFloat(const std::string& key) const { return graph::attrFloat(attrs_, key, name_); }
+    const std::string& attrStr(const std::string& key) const
+    {
+        return graph::attrStr(attrs_, key, name_);
+    }
+    const std::vector<int64_t>& attrInts(const std::string& key) const
+    {
+        return graph::attrInts(attrs_, key, name_);
+    }
+    const AttrMap& attrs() const { return attrs_; }
 
     /** FusedOp only: the encapsulated sub-graph of primitive ops. */
     Graph* subgraph() const { return subgraph_.get(); }
@@ -205,7 +231,7 @@ class Node
     nn::Module* module_ = nullptr;
     std::vector<Node*> inputs_;
     std::vector<Shape> shapes_;
-    std::map<std::string, Attr> attrs_;
+    AttrMap attrs_;
     std::shared_ptr<Graph> subgraph_;
     bool checkpointed_ = false;
     Provenance provenance_;

@@ -14,10 +14,21 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/node.h"
 #include "nn/value.h"
 
 namespace slapo {
 namespace nn {
+
+/**
+ * The one dispatch behind every F:: op and the graph interpreter: reads
+ * `kind`'s op-table entry (graph/op_schema.h), checks arity, computes the
+ * output shape, then traces a node, or profiles and computes, or
+ * propagates a meta shape — whichever the ambient context asks for.
+ */
+Value dispatchOp(graph::OpKind kind, const graph::AttrMap& attrs,
+                 const std::vector<Value>& inputs);
+
 namespace F {
 
 Value add(const Value& a, const Value& b);

@@ -1,166 +1,20 @@
 #include "nn/interpreter.h"
 
-#include <chrono>
 #include <optional>
 
 #include "graph/memplan.h"
+#include "graph/op_schema.h"
 #include "nn/context.h"
 #include "nn/functional.h"
 #include "nn/module.h"
-#include "obs/mem_profiler.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
-#include "tensor/ops.h"
 
 namespace slapo {
 namespace nn {
 
-namespace {
-
-/**
- * Per-node observability hook shared by the executor loops: opens a
- * trace span and, on close, folds the elapsed time into the installed
- * OpProfiler under the thread's current module path. Also tags the
- * thread for the memory profiler so tensors allocated inside the kernel
- * attribute to this node's id and stamped primitive. Disabled cost is
- * the three atomic loads in the constructor.
- */
-class NodeTimer
-{
-  public:
-    NodeTimer(const char* op, const graph::Node& node)
-        : op_(op), primitive_(&node.provenance().primitive),
-          mem_scope_(node.id(), primitive_),
-          profiler_(obs::OpProfiler::current())
-    {
-        if (profiler_ != nullptr || obs::tracingEnabled()) {
-            span_.emplace(op_, "op");
-            span_->arg("node", node.name());
-            if (!obs::ModuleScope::currentPath().empty()) {
-                span_->arg("module", obs::ModuleScope::currentPath());
-            }
-            if (!primitive_->empty()) {
-                span_->arg("primitive", *primitive_);
-            }
-            start_ = std::chrono::steady_clock::now();
-        }
-    }
-
-    ~NodeTimer()
-    {
-        if (profiler_ != nullptr) {
-            const int64_t ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-            profiler_->record(op_, obs::ModuleScope::currentPath(),
-                              *primitive_, ns);
-        }
-    }
-
-  private:
-    const char* op_;
-    const std::string* primitive_; ///< node provenance; outlives the timer
-    obs::MemNodeScope mem_scope_;
-    obs::OpProfiler* profiler_;
-    std::optional<obs::TraceSpan> span_;
-    std::chrono::steady_clock::time_point start_;
-};
-
-/**
- * Dispatch a planner-marked CallOp to its in-place kernel twin,
- * overwriting `t` (the dying, uniquely-owned first operand). `second`
- * is the already-guarded second operand for binary ops (null
- * otherwise). Returns false for ops without an in-place twin — the
- * caller falls back to the out-of-place path.
- */
-bool
-runOpInPlace(const graph::Node& node, Tensor& t, const Tensor* second)
-{
-    using graph::OpKind;
-    switch (node.op()) {
-      case OpKind::Add: ops::addInPlace(t, *second); return true;
-      case OpKind::Sub: ops::subInPlace(t, *second); return true;
-      case OpKind::Mul: ops::mulInPlace(t, *second); return true;
-      case OpKind::Div: ops::divInPlace(t, *second); return true;
-      case OpKind::Scale:
-        ops::scaleInPlace(t, static_cast<float>(node.attrFloat("factor")));
-        return true;
-      case OpKind::AddScalar:
-        ops::addScalarInPlace(t, static_cast<float>(node.attrFloat("value")));
-        return true;
-      case OpKind::Gelu: ops::geluInPlace(t); return true;
-      case OpKind::Relu: ops::reluInPlace(t); return true;
-      case OpKind::Tanh: ops::tanhInPlace(t); return true;
-      case OpKind::Clamp:
-        ops::clampScalarInPlace(t, static_cast<float>(node.attrFloat("lo")),
-                                static_cast<float>(node.attrFloat("hi")));
-        return true;
-      case OpKind::RangeMask:
-        ops::rangeMaskInPlace(t, static_cast<float>(node.attrFloat("lo")),
-                              static_cast<float>(node.attrFloat("hi")));
-        return true;
-      case OpKind::CausalMask: ops::causalMaskInPlace(t); return true;
-      case OpKind::Softmax: ops::softmaxInPlace(t); return true;
-      default: return false;
-    }
-}
-
-} // namespace
-
 Value
-interpretOp(const graph::Node& node, const std::vector<Value>& in)
+interpretOp(const graph::Node& node, const std::vector<Value>& inputs)
 {
-    using graph::OpKind;
-    switch (node.op()) {
-      case OpKind::Add: return F::add(in[0], in[1]);
-      case OpKind::Sub: return F::sub(in[0], in[1]);
-      case OpKind::Mul: return F::mul(in[0], in[1]);
-      case OpKind::Div: return F::div(in[0], in[1]);
-      case OpKind::Scale: return F::scale(in[0], node.attrFloat("factor"));
-      case OpKind::AddScalar:
-        return F::addScalar(in[0], node.attrFloat("value"));
-      case OpKind::Gelu: return F::gelu(in[0]);
-      case OpKind::Relu: return F::relu(in[0]);
-      case OpKind::Tanh: return F::tanh(in[0]);
-      case OpKind::Clamp:
-        return F::clampScalar(in[0], node.attrFloat("lo"),
-                              node.attrFloat("hi"));
-      case OpKind::RangeMask:
-        return F::rangeMask(in[0], node.attrFloat("lo"), node.attrFloat("hi"));
-      case OpKind::CausalMask: return F::causalMask(in[0]);
-      case OpKind::RelPosBias: return F::relPosBias(in[0], in[1]);
-      case OpKind::Softmax: return F::softmax(in[0]);
-      case OpKind::LayerNormOp:
-        return F::layerNorm(in[0], in[1], in[2], node.attrFloat("eps"));
-      case OpKind::Dropout:
-        return F::dropout(in[0], node.attrFloat("p"), node.attrInt("seed"));
-      case OpKind::Matmul: return F::matmul(in[0], in[1]);
-      case OpKind::LinearOp:
-        return F::linear(in[0], in[1], in.size() > 2 ? in[2] : Value());
-      case OpKind::TransposeLast2: return F::transposeLast2(in[0]);
-      case OpKind::Reshape: return F::reshape(in[0], node.attrInts("shape"));
-      case OpKind::Permute: return F::permute(in[0], node.attrInts("perm"));
-      case OpKind::Concat: return F::concat(in, node.attrInt("axis"));
-      case OpKind::Narrow:
-        return F::narrow(in[0], node.attrInt("axis"), node.attrInt("start"),
-                         node.attrInt("length"));
-      case OpKind::EmbeddingOp: return F::embedding(in[0], in[1]);
-      case OpKind::CrossEntropyOp: return F::crossEntropy(in[0], in[1]);
-      case OpKind::MseLossOp: return F::mseLoss(in[0], in[1]);
-      case OpKind::Conv2dOp:
-        return F::conv2d(in[0], in[1], node.attrInt("stride"),
-                         node.attrInt("pad"));
-      case OpKind::BatchNormOp:
-        return F::batchNorm2d(in[0], in[1], in[2], node.attrFloat("eps"));
-      case OpKind::GlobalAvgPoolOp: return F::globalAvgPool(in[0]);
-      case OpKind::AllReduce: return F::allReduce(in[0]);
-      case OpKind::AllGather: return F::allGather(in[0], node.attrInt("axis"));
-      case OpKind::ReduceScatter:
-        return F::reduceScatter(in[0], node.attrInt("axis"));
-      case OpKind::Identity: return F::identity(in[0]);
-    }
-    SLAPO_THROW("interpretOp: unhandled op " << opKindName(node.op()));
+    return dispatchOp(node.op(), node.attrs(), inputs);
 }
 
 std::vector<Value>
@@ -257,7 +111,6 @@ interpretGraph(const graph::Graph& graph, Module* self,
             // kernel may overwrite its buffer. Any failed guard falls
             // back to the ordinary out-of-place execution using the
             // moved handle, so results are identical either way.
-            bool executed = false;
             if (act != nullptr && act->inplace) {
                 graph::Node* src = node->inputs()[0];
                 SLAPO_ASSERT(defined[src->id()],
@@ -267,17 +120,20 @@ interpretGraph(const graph::Graph& graph, Module* self,
                 defined[src->id()] = 0;
 
                 Tensor& t = moved.tensor();
-                const Tensor* second = nullptr;
+                const Tensor* operands[2] = {&t, nullptr};
                 bool ok = t.materialized() && t.shape() == node->shape() &&
                           t.storageUseCount() == 1;
                 if (ok && node->inputs().size() > 1) {
                     const Tensor& b = first(node->inputs()[1]).tensor();
                     ok = b.materialized() && b.shape() == t.shape();
-                    second = &b;
+                    operands[1] = &b;
                 }
-                if (ok && runOpInPlace(*node, t, second)) {
+                const graph::OpSchema& op = graph::opSchema(node->op());
+                if (ok && op.inplace != nullptr) {
+                    const size_t arity = operands[1] != nullptr ? 2 : 1;
+                    op.inplace(t, graph::OpArgs({operands, arity},
+                                                node->attrs(), op.name));
                     put(node, {std::move(moved)});
-                    executed = true;
                 } else {
                     std::vector<Value> ins;
                     ins.reserve(node->inputs().size());
@@ -286,10 +142,8 @@ interpretGraph(const graph::Graph& graph, Module* self,
                         ins.push_back(first(node->inputs()[i]));
                     }
                     put(node, {interpretOp(*node, ins)});
-                    executed = true;
                 }
-            }
-            if (!executed) {
+            } else {
                 std::vector<Value> ins;
                 ins.reserve(node->inputs().size());
                 for (graph::Node* in : node->inputs()) {

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <optional>
 
 #include "graph/memplan.h"
+#include "graph/op_schema.h"
 #include "nn/functional.h"
 #include "nn/interpreter.h"
 #include "nn/tracer.h"
@@ -13,7 +13,6 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "runtime/process_group.h"
-#include "tensor/ops.h"
 
 namespace slapo {
 namespace runtime {
@@ -21,7 +20,6 @@ namespace runtime {
 using graph::Graph;
 using graph::Node;
 using graph::NodeKind;
-using graph::OpKind;
 using nn::Module;
 using nn::SyncDirection;
 using nn::SyncKind;
@@ -88,54 +86,6 @@ struct AutogradEngine::Frame
 
 namespace {
 
-/**
- * Per-node timing for the autograd loops: a trace span plus an
- * OpProfiler record under the thread's module-path scope. `suffix`
- * separates backward executions (".bwd") from forward ones in the
- * aggregate report. Disabled cost: two relaxed atomic loads.
- */
-class OpTimer
-{
-  public:
-    OpTimer(const char* op, const char* suffix,
-            const std::string& primitive = std::string())
-        : profiler_(obs::OpProfiler::current())
-    {
-        if (profiler_ != nullptr || obs::tracingEnabled()) {
-            name_ = op;
-            name_ += suffix;
-            primitive_ = primitive;
-            span_.emplace(name_, "op");
-            if (!obs::ModuleScope::currentPath().empty()) {
-                span_->arg("module", obs::ModuleScope::currentPath());
-            }
-            if (!primitive_.empty()) {
-                span_->arg("primitive", primitive_);
-            }
-            start_ = std::chrono::steady_clock::now();
-        }
-    }
-
-    ~OpTimer()
-    {
-        if (profiler_ != nullptr) {
-            const int64_t ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-            profiler_->record(name_, obs::ModuleScope::currentPath(),
-                              primitive_, ns);
-        }
-    }
-
-  private:
-    obs::OpProfiler* profiler_;
-    std::string name_;
-    std::string primitive_;
-    std::optional<obs::TraceSpan> span_;
-    std::chrono::steady_clock::time_point start_;
-};
-
 /** Numeric collective honoring the thread's DistContext (or identity). */
 Tensor
 applyCollective(SyncKind kind, int64_t axis, const Tensor& t)
@@ -180,147 +130,8 @@ applyBackwardSyncs(const std::vector<SyncSpec>& syncs, Tensor grad)
     return grad;
 }
 
-std::vector<int64_t>
-inversePerm(const std::vector<int64_t>& perm)
-{
-    std::vector<int64_t> inv(perm.size());
-    for (size_t i = 0; i < perm.size(); ++i) {
-        inv[perm[i]] = static_cast<int64_t>(i);
-    }
-    return inv;
-}
-
-/** Gradient rule for one primitive op. `x` are forward inputs, `y` the
- * forward output, `g` the upstream gradient. */
-std::vector<Tensor>
-opBackward(const Node& node, const std::vector<Tensor>& x, const Tensor& y,
-           const Tensor& g)
-{
-    switch (node.op()) {
-      case OpKind::Add:
-        return {ops::reduceToShape(g, x[0].shape()),
-                ops::reduceToShape(g, x[1].shape())};
-      case OpKind::Sub:
-        return {ops::reduceToShape(g, x[0].shape()),
-                ops::scale(ops::reduceToShape(g, x[1].shape()), -1.0f)};
-      case OpKind::Mul:
-        return {ops::reduceToShape(ops::mul(g, x[1]), x[0].shape()),
-                ops::reduceToShape(ops::mul(g, x[0]), x[1].shape())};
-      case OpKind::Div: {
-        Tensor ga = ops::reduceToShape(ops::div(g, x[1]), x[0].shape());
-        Tensor gb = ops::reduceToShape(
-            ops::scale(ops::mul(g, ops::div(x[0], ops::mul(x[1], x[1]))), -1.0f),
-            x[1].shape());
-        return {std::move(ga), std::move(gb)};
-      }
-      case OpKind::Scale:
-        return {ops::scale(g, static_cast<float>(node.attrFloat("factor")))};
-      case OpKind::AddScalar:
-        return {g.clone()};
-      case OpKind::Gelu:
-        return {ops::geluBackward(g, x[0])};
-      case OpKind::Relu:
-        return {ops::reluBackward(g, x[0])};
-      case OpKind::Tanh:
-        return {ops::tanhBackward(g, y)};
-      case OpKind::Clamp:
-        return {ops::mul(g, ops::rangeMask(
-                                x[0],
-                                static_cast<float>(node.attrFloat("lo")),
-                                static_cast<float>(node.attrFloat("hi"))))};
-      case OpKind::RangeMask:
-        return {Tensor::zeros(x[0].shape())};
-      case OpKind::CausalMask:
-        return {g.clone()};
-      case OpKind::RelPosBias:
-        return {g.clone(),
-                ops::relPosBiasTableBackward(g, x[1].shape())};
-      case OpKind::Softmax:
-        return {ops::softmaxBackward(g, y)};
-      case OpKind::LayerNormOp: {
-        ops::LayerNormGrads lg = ops::layerNormBackward(
-            g, x[0], x[1], static_cast<float>(node.attrFloat("eps")));
-        return {std::move(lg.grad_x), std::move(lg.grad_gamma),
-                std::move(lg.grad_beta)};
-      }
-      case OpKind::Dropout:
-        return {ops::dropoutBackward(
-            g, static_cast<float>(node.attrFloat("p")),
-            static_cast<uint64_t>(node.attrInt("seed")))};
-      case OpKind::Matmul: {
-        Tensor ga = ops::reduceToShape(
-            ops::matmul(g, ops::transposeLast2(x[1])), x[0].shape());
-        Tensor gb = ops::reduceToShape(
-            ops::matmul(ops::transposeLast2(x[0]), g), x[1].shape());
-        return {std::move(ga), std::move(gb)};
-      }
-      case OpKind::LinearOp: {
-        const bool has_bias = x.size() > 2;
-        ops::LinearGrads lg = ops::linearBackward(g, x[0], x[1], has_bias);
-        std::vector<Tensor> grads = {std::move(lg.grad_x),
-                                     std::move(lg.grad_weight)};
-        if (has_bias) {
-            grads.push_back(std::move(lg.grad_bias));
-        }
-        return grads;
-      }
-      case OpKind::TransposeLast2:
-        return {ops::transposeLast2(g)};
-      case OpKind::Reshape:
-        return {g.reshape(x[0].shape())};
-      case OpKind::Permute:
-        return {ops::permute(g, inversePerm(node.attrInts("perm")))};
-      case OpKind::Concat: {
-        const int64_t axis = node.attrInt("axis");
-        std::vector<Tensor> grads;
-        int64_t offset = 0;
-        for (const Tensor& in : x) {
-            grads.push_back(ops::narrow(g, axis, offset, in.size(axis)));
-            offset += in.size(axis);
-        }
-        return grads;
-      }
-      case OpKind::Narrow:
-        return {ops::narrowBackward(g, x[0].shape(), node.attrInt("axis"),
-                                    node.attrInt("start"))};
-      case OpKind::EmbeddingOp:
-        return {Tensor::zeros(x[0].shape()),
-                ops::embeddingBackward(g, x[0], x[1].size(0))};
-      case OpKind::CrossEntropyOp:
-        return {ops::scale(ops::crossEntropyBackward(x[0], x[1]), g.at(0)),
-                Tensor::zeros(x[1].shape())};
-      case OpKind::MseLossOp:
-        return {ops::scale(ops::mseLossBackward(x[0], x[1]), g.at(0)),
-                Tensor::zeros(x[1].shape())};
-      case OpKind::Identity:
-        return {g.clone()};
-      case OpKind::AllReduce:
-        // d(all_reduce)/dx is the identity per rank; the scheduler's
-        // conjugate sync point covers the reduction of the other side.
-        return {g.clone()};
-      case OpKind::AllGather: {
-        nn::DistContext* dc = nn::DistContext::current();
-        const int64_t axis = node.attrInt("axis");
-        const int64_t rank = dc ? dc->rank : 0;
-        const int64_t ax =
-            axis < 0 ? axis + static_cast<int64_t>(x[0].shape().size()) : axis;
-        const int64_t len = x[0].size(ax);
-        return {ops::narrow(g, ax, rank * len, len)};
-      }
-      case OpKind::ReduceScatter: {
-        nn::DistContext* dc = nn::DistContext::current();
-        if (dc == nullptr || dc->world_size == 1) {
-            return {g.clone()};
-        }
-        SLAPO_CHECK(dc->group, "reduce_scatter backward needs a group");
-        return {dc->group->allGather(dc->rank, g, node.attrInt("axis"))};
-      }
-      default:
-        SLAPO_THROW("autograd: backward not implemented for op "
-                    << opKindName(node.op())
-                    << " (vision ops are forward/simulation only)");
-    }
-}
+/** Row attribution of the .sync() boundary timers. */
+const std::string kSyncPrimitive = "sync";
 
 } // namespace
 
@@ -373,10 +184,7 @@ AutogradEngine::forwardGraph(const Graph& g, Module* owner,
             break;
           }
           case NodeKind::CallOp: {
-            OpTimer timer(opKindName(node->op()), "",
-                          node->provenance().primitive);
-            obs::MemNodeScope mem_scope(node->id(),
-                                        &node->provenance().primitive);
+            nn::NodeTimer timer(opKindName(node->op()), *node);
             std::vector<Value> ins;
             for (const Node* in : node->inputs()) {
                 ins.emplace_back(frame->at(in)[0]);
@@ -407,7 +215,7 @@ AutogradEngine::forwardGraph(const Graph& g, Module* owner,
                 // Collective boundaries inserted by .sync(): time them as
                 // their own row so the step report can separate the cost
                 // of aggregation from the sharded compute it follows.
-                OpTimer sync_timer("sync", "", "sync");
+                nn::NodeTimer sync_timer("sync", "", kSyncPrimitive);
                 outs[0] = applyForwardSyncs(child->meta().syncs, outs[0]);
             }
             if (!checkpointed) {
@@ -569,19 +377,25 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
             break;
           }
           case NodeKind::CallOp: {
-            OpTimer timer(opKindName(node->op()), ".bwd",
-                          node->provenance().primitive);
-            obs::MemNodeScope mem_scope(node->id(),
-                                        &node->provenance().primitive);
+            const graph::OpSchema& op = graph::opSchema(node->op());
+            nn::NodeTimer timer(op.name, *node, ".bwd");
+            SLAPO_CHECK(op.backward != nullptr,
+                        "autograd: backward not implemented for op "
+                            << op.name
+                            << " (vision ops are forward/simulation only)");
             std::vector<Tensor> x;
+            std::vector<const Tensor*> operands;
             for (const Node* in : node->inputs()) {
                 x.push_back(value(in));
             }
+            for (const Tensor& t : x) {
+                operands.push_back(&t);
+            }
             std::vector<Tensor> in_grads =
-                opBackward(*node, x, value(node), slots[0]);
+                op.backward(graph::OpArgs(operands, node->attrs(), op.name),
+                            value(node), slots[0]);
             SLAPO_ASSERT(in_grads.size() == node->inputs().size(),
-                         "backward rule arity mismatch for "
-                             << opKindName(node->op()));
+                         "backward rule arity mismatch for " << op.name);
             for (size_t i = 0; i < in_grads.size(); ++i) {
                 accumulate(node->inputs()[i], 0, in_grads[i]);
             }
@@ -597,6 +411,9 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
             }
             auto child_graph = graphFor(*child, shapes);
 
+            // Opened before any recompute, so rematerialized kernels are
+            // attributed to the child's full module path.
+            obs::ModuleScope scope(node->target());
             Frame* child_frame = nullptr;
             std::unique_ptr<Frame> recomputed;
             auto fit = frame.children.find(node);
@@ -613,12 +430,11 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
             }
             // Note: forward syncs with all-reduce have identity backward;
             // per-spec backward syncs fire on the input gradient below.
-            obs::ModuleScope scope(node->target());
             std::vector<Tensor> child_in_grads =
                 backwardGraph(*child_graph, child, *child_frame, slots);
             if (!child_in_grads.empty() && !child->meta().syncs.empty() &&
                 child_in_grads[0].materialized()) {
-                OpTimer sync_timer("sync", ".bwd", "sync");
+                nn::NodeTimer sync_timer("sync", ".bwd", kSyncPrimitive);
                 child_in_grads[0] =
                     applyBackwardSyncs(child->meta().syncs, child_in_grads[0]);
             }

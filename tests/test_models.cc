@@ -29,6 +29,15 @@ struct ParamCase
     double tolerance;
 };
 
+/** gtest would otherwise print the case as raw bytes, name pointer
+ * included, and the discovered ctest names would change per build. */
+void
+PrintTo(const ParamCase& c, std::ostream* os)
+{
+    *os << c.name << " variant " << c.variant << " tolerance "
+        << c.tolerance;
+}
+
 class Table2Params : public ::testing::TestWithParam<ParamCase>
 {
 };

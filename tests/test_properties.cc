@@ -24,6 +24,14 @@ struct UnaryCase
     bool bounded01; ///< output in [0, 1]
 };
 
+/** gtest would otherwise print the case as raw bytes, pointers
+ * included, and the discovered ctest names would change per build. */
+void
+PrintTo(const UnaryCase& c, std::ostream* os)
+{
+    *os << c.name << (c.bounded01 ? " bounded01" : "");
+}
+
 Tensor
 geluWrap(const Tensor& t)
 {
