@@ -11,6 +11,7 @@
 #include "bench_common.h"
 
 #include "baselines/baselines.h"
+#include "graph/graph.h"
 #include "models/registry.h"
 #include "obs/mem_profiler.h"
 #include "obs/profiler.h"
@@ -342,10 +343,16 @@ BENCHMARK(BM_AllocAcquireRelease)->Arg(0)->Arg(1)->ArgName("pool");
 void
 BM_ProfilerDisabledCheck(benchmark::State& state)
 {
-    // The per-node cost of attribution when no profiler is installed:
-    // one relaxed atomic load (docs/OBSERVABILITY.md, "Overhead").
+    // What every executed graph node pays for instrumentation with every
+    // instrument off: constructing and destroying its row timer — one
+    // relaxed load of the enable word (docs/OBSERVABILITY.md, "Cost
+    // model").
+    graph::Graph graph;
+    const graph::Node& node =
+        *graph.createNode(graph::NodeKind::CallOp, "linear");
     for (auto _ : state) {
-        benchmark::DoNotOptimize(obs::OpProfiler::current());
+        obs::RowTimer timer("linear", node);
+        benchmark::DoNotOptimize(&timer);
     }
     state.SetItemsProcessed(state.iterations());
 }

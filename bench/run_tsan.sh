@@ -8,8 +8,9 @@
 # concurrency.
 #
 # Registered as the `elastic_tsan` ctest (bench/CMakeLists.txt) over the
-# elastic-recovery suite (-R Elastic); run it by hand with -R Fault or
-# no filter for the full tier-1 suite under TSan.
+# elastic-recovery and instrumentation suites (-R "Elastic|Instruments");
+# run it by hand with -R Fault or no filter for the full tier-1 suite
+# under TSan.
 #
 # Usage: bench/run_tsan.sh [extra ctest args, e.g. -R Fault]
 set -euo pipefail

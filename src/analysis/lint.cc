@@ -12,6 +12,7 @@
 #include "analysis/shape_infer.h"
 #include "analysis/sharding.h"
 #include "obs/run_log.h"
+#include "obs/trace.h"
 
 namespace slapo {
 namespace analysis {
@@ -103,10 +104,7 @@ enforceLint(nn::Module& root, int world_size, const char* site)
     }
     const auto start = std::chrono::steady_clock::now();
     Diagnostics diags = lintModule(root, world_size);
-    const int64_t wall_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
+    const int64_t wall_ns = obs::nsSince(start);
 
     if (obs::RunLog* log = obs::runLog()) {
         obs::RunLogRecord record("lint");

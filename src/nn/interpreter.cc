@@ -7,6 +7,9 @@
 #include "nn/context.h"
 #include "nn/functional.h"
 #include "nn/module.h"
+#include "obs/mem_profiler.h"
+#include "obs/profiler.h"
+#include "obs/trace.h"
 
 namespace slapo {
 namespace nn {
@@ -86,7 +89,7 @@ interpretGraph(const graph::Graph& graph, Module* self,
             break;
           }
           case graph::NodeKind::CallOp: {
-            NodeTimer timer(opKindName(node->op()), *node);
+            obs::RowTimer timer(opKindName(node->op()), *node);
             // A .checkpoint(subgraph) node: flag its kernel record (the
             // memory model drops it from activations) and account the
             // region boundary once, at entry nodes.
@@ -169,7 +172,7 @@ interpretGraph(const graph::Graph& graph, Module* self,
                 // path; an untraced (leaf) module executes eagerly with
                 // no inner CallOp nodes, so time it as one record itself.
                 obs::ModuleScope scope(node->target());
-                std::optional<NodeTimer> timer;
+                std::optional<obs::RowTimer> timer;
                 if (target->meta().traced_graph == nullptr) {
                     timer.emplace(target->typeName().c_str(), *node);
                 }
@@ -179,7 +182,7 @@ interpretGraph(const graph::Graph& graph, Module* self,
             break;
           }
           case graph::NodeKind::FusedOp: {
-            NodeTimer timer(node->name().c_str(), *node);
+            obs::RowTimer timer(node->name().c_str(), *node);
             std::vector<Value> ins;
             for (graph::Node* in : node->inputs()) {
                 ins.push_back(first(in));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <optional>
 
 #include "nn/functional.h"
 #include "nn/interpreter.h"
@@ -427,10 +426,7 @@ Module::initializeParams(uint64_t seed)
             // Tag the materialization for the memory profiler: category
             // Parameter, attributed to the param's own dotted path.
             obs::MemCategoryScope mem_cat(obs::MemCategory::Parameter);
-            std::optional<obs::ModuleScope> mem_path;
-            if (obs::ModuleScope::active()) {
-                mem_path.emplace(path);
-            }
+            obs::ModuleScope mem_path(path);
             *tensor = is_scale ? Tensor::full(tensor->shape(), 1.0f)
                                : Tensor::uniform(tensor->shape(), 0.08f, h);
         }
@@ -447,10 +443,7 @@ Module::cloneInto(Module* dst) const
         // Replica/stage clones carry parameters, not activations.
         obs::MemCategoryScope mem_cat(obs::MemCategory::Parameter);
         for (const auto& [name, tensor] : params_) {
-            std::optional<obs::ModuleScope> mem_path;
-            if (obs::ModuleScope::active()) {
-                mem_path.emplace(name);
-            }
+            obs::ModuleScope mem_path(name);
             dst->params_.emplace_back(name, tensor.clone());
         }
     }
@@ -458,10 +451,7 @@ Module::cloneInto(Module* dst) const
     for (const auto& [name, c] : children_) {
         // Nest a scope per child so cloned parameters register under
         // their full dotted path, not an anonymous blob.
-        std::optional<obs::ModuleScope> mem_path;
-        if (obs::ModuleScope::active()) {
-            mem_path.emplace(name);
-        }
+        obs::ModuleScope mem_path(name);
         dst->children_.emplace_back(name, c->clone());
     }
     dst->meta_ = meta_;

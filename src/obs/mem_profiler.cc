@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
-#include <cstring>
+#include <atomic>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -36,6 +35,18 @@ constexpr const char* kCategoryTrack[kNumMemCategories] = {
 
 /** Top-K live tensors kept in each peak snapshot. */
 constexpr size_t kTopTensors = 16;
+
+/** {"parameter":N,...} in category order. */
+std::string
+categoryBytesJson(const int64_t* bytes)
+{
+    std::string out = "{";
+    for (int c = 0; c < kNumMemCategories; ++c) {
+        out += (c > 0 ? "," : "") + json::quoted(kCategoryName[c]) + ":" +
+               json::number(bytes[c]);
+    }
+    return out + "}";
+}
 
 /** Thread-local allocation tag the RAII scopes maintain. */
 struct ThreadTag
@@ -221,19 +232,12 @@ void
 recordAllocImpl(const void* key, int64_t bytes, MemCategory category,
                 bool enforce_budget)
 {
-    // Resolve the primitive before taking the registry lock
-    // (lookupProvenance holds the provenance registry's own mutex).
-    // Precedence mirrors step reports: stamped node provenance, then the
-    // registry's longest-prefix match, then baseline.
+    // Resolve the primitive (as step reports do) before taking the
+    // registry lock: the provenance lookup holds its own mutex.
     const std::string& module_path = ModuleScope::currentPath();
-    std::string primitive;
-    if (t_tag.primitive != nullptr && !t_tag.primitive->empty()) {
-        primitive = *t_tag.primitive;
-    } else if (const ProvenanceRecord* rec = lookupProvenance(module_path)) {
-        primitive = rec->primitive;
-    } else {
-        primitive = "baseline";
-    }
+    const std::string primitive = resolvePrimitive(
+        t_tag.primitive != nullptr ? *t_tag.primitive : std::string(),
+        module_path);
 
     const int64_t budget = g_budget.load(std::memory_order_relaxed);
     const bool throw_action = g_budget_action.load(std::memory_order_relaxed) == 1;
@@ -338,67 +342,11 @@ memCategoryName(MemCategory category)
 
 // --- enablement ----------------------------------------------------------
 
-namespace detail {
-
-std::atomic<int> g_mem_enabled{-1};
-
-namespace {
-std::once_flag g_env_once;
-} // namespace
-
-namespace impl {
-
-void
-probeEnv()
-{
-    std::call_once(g_env_once, [] {
-        bool on = false;
-        if (const char* env = std::getenv("SLAPO_MEM_PROFILE")) {
-            on = env[0] != '\0' && std::strcmp(env, "0") != 0 &&
-                 std::strcmp(env, "off") != 0;
-        }
-        if (const char* env = std::getenv("SLAPO_MEM_BUDGET")) {
-            if (env[0] != '\0') {
-                const long long bytes = std::atoll(env);
-                if (bytes > 0) {
-                    g_budget.store(bytes, std::memory_order_relaxed);
-                    on = true; // a budget implies watching live bytes
-                }
-            }
-        }
-        if (const char* env = std::getenv("SLAPO_MEM_BUDGET_ACTION")) {
-            g_budget_action.store(std::strcmp(env, "throw") == 0 ? 1 : 0,
-                                  std::memory_order_relaxed);
-        }
-        if (const char* env = std::getenv("SLAPO_MEM_DUMP")) {
-            if (env[0] != '\0') {
-                std::lock_guard<std::mutex> lock(g_dump_mutex);
-                g_dump_path = env;
-                on = true; // a dump path implies wanting the report
-            }
-        }
-        int expected = -1;
-        g_mem_enabled.compare_exchange_strong(expected, on ? 1 : 0,
-                                              std::memory_order_relaxed);
-    });
-}
-
-} // namespace impl
-
-bool
-memProfilingEnabledSlow()
-{
-    impl::probeEnv();
-    return g_mem_enabled.load(std::memory_order_relaxed) == 1;
-}
-
-} // namespace detail
-
 void
 setMemProfilingEnabled(bool on)
 {
-    detail::impl::probeEnv(); // settle the env state so it can't overwrite
-    detail::g_mem_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+    (void)instruments(); // settle the env state so it can't overwrite
+    detail::setInstruments(kMemProfile, on);
 }
 
 // --- budget --------------------------------------------------------------
@@ -406,14 +354,14 @@ setMemProfilingEnabled(bool on)
 int64_t
 memBudgetBytes()
 {
-    detail::impl::probeEnv();
+    (void)instruments();
     return g_budget.load(std::memory_order_relaxed);
 }
 
 void
 setMemBudget(int64_t bytes, MemBudgetAction action)
 {
-    detail::impl::probeEnv();
+    (void)instruments();
     g_budget.store(bytes < 0 ? -1 : bytes, std::memory_order_relaxed);
     g_budget_action.store(action == MemBudgetAction::Throw ? 1 : 0,
                           std::memory_order_relaxed);
@@ -425,7 +373,7 @@ setMemBudget(int64_t bytes, MemBudgetAction action)
 void
 setMemDumpPath(const std::string& path)
 {
-    detail::impl::probeEnv();
+    (void)instruments();
     std::lock_guard<std::mutex> lock(g_dump_mutex);
     g_dump_path = path;
 }
@@ -551,14 +499,7 @@ MemPeakReport::attributedFraction() const
 std::string
 MemPeakReport::categoriesJson() const
 {
-    std::string out = "{";
-    for (int c = 0; c < kNumMemCategories; ++c) {
-        if (c > 0) out += ",";
-        out += json::quoted(kCategoryName[c]) + ":" +
-               json::number(category_bytes[c]);
-    }
-    out += "}";
-    return out;
+    return categoryBytesJson(category_bytes);
 }
 
 std::string
@@ -753,15 +694,11 @@ MemWindow::categoryPeakBytes(MemCategory category) const
 std::string
 MemWindow::categoriesJson() const
 {
-    std::string out = "{";
+    int64_t bytes[kNumMemCategories] = {};
     for (int c = 0; c < kNumMemCategories; ++c) {
-        if (c > 0) out += ",";
-        out += json::quoted(kCategoryName[c]) + ":";
-        out += json::number(
-            categoryPeakBytes(static_cast<MemCategory>(c)));
+        bytes[c] = categoryPeakBytes(static_cast<MemCategory>(c));
     }
-    out += "}";
-    return out;
+    return categoryBytesJson(bytes);
 }
 
 // --- sim-model side channel ----------------------------------------------

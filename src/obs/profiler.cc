@@ -1,11 +1,11 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <tuple>
 
@@ -45,8 +45,12 @@ bucketUpperBound(int bucket)
     return ((static_cast<int64_t>(sub) + 5) << (octave - 2)) - 1;
 }
 
-std::atomic<OpProfiler*> g_current{nullptr};
-std::once_flag g_env_once;
+// The installed profilers, oldest first; the kOpProfile bit mirrors
+// "non-empty" and is only changed under the mutex.
+constinit std::mutex g_installed_mutex;
+constinit std::vector<OpProfiler*> g_installed;
+
+thread_local int64_t t_recorded_ns = 0;
 
 std::string
 formatUs(double ns)
@@ -87,10 +91,6 @@ OpProfiler::record(const std::string& op, const std::string& module_path,
     record(op, module_path, std::string(), duration_ns);
 }
 
-namespace {
-thread_local int64_t t_recorded_ns = 0;
-} // namespace
-
 int64_t
 OpProfiler::threadRecordedNs()
 {
@@ -101,7 +101,6 @@ void
 OpProfiler::record(const std::string& op, const std::string& module_path,
                    const std::string& primitive, int64_t duration_ns)
 {
-    t_recorded_ns += duration_ns;
     std::lock_guard<std::mutex> lock(impl_->mutex);
     Impl::Agg& agg = impl_->aggs[{op, module_path, primitive}];
     ++agg.count;
@@ -223,45 +222,123 @@ OpProfiler::clear()
 OpProfiler*
 OpProfiler::current()
 {
-    OpProfiler* p = g_current.load(std::memory_order_relaxed);
-    if (p != nullptr) {
-        return p;
-    }
-    // One-time environment probe: SLAPO_OP_PROFILE=1 (table to stderr at
-    // exit) or SLAPO_OP_PROFILE=report.json (JSON file at exit).
-    std::call_once(g_env_once, [] {
-        const char* env = std::getenv("SLAPO_OP_PROFILE");
-        if (env == nullptr || env[0] == '\0') {
-            return;
-        }
-        static OpProfiler* profiler = new OpProfiler();
-        static std::string out = env;
-        g_current.store(profiler, std::memory_order_relaxed);
-        std::atexit([] {
-            if (out == "1") {
-                std::fputs(profiler->table().c_str(), stderr);
-            } else {
-                if (std::FILE* f = std::fopen(out.c_str(), "wb")) {
-                    const std::string json = profiler->toJson();
-                    std::fwrite(json.data(), 1, json.size(), f);
-                    std::fputc('\n', f);
-                    std::fclose(f);
-                }
-            }
-        });
-    });
-    return g_current.load(std::memory_order_relaxed);
+    (void)instruments(); // the first read installs SLAPO_OP_PROFILE's
+    std::lock_guard<std::mutex> lock(g_installed_mutex);
+    return g_installed.empty() ? nullptr : g_installed.back();
 }
 
-OpProfilerGuard::OpProfilerGuard(OpProfiler* profiler)
-    : previous_(g_current.load(std::memory_order_relaxed))
+OpProfilerGuard::OpProfilerGuard(OpProfiler* profiler) : profiler_(profiler)
 {
-    g_current.store(profiler, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(g_installed_mutex);
+    g_installed.push_back(profiler_);
+    detail::setInstruments(kOpProfile, true);
 }
 
 OpProfilerGuard::~OpProfilerGuard()
 {
-    g_current.store(previous_, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(g_installed_mutex);
+    // Guards on different threads need not close in LIFO order.
+    g_installed.erase(
+        std::find(g_installed.begin(), g_installed.end(), profiler_));
+    detail::setInstruments(kOpProfile, !g_installed.empty());
+}
+
+void
+recordRow(const std::string& op, const std::string& module_path,
+          const std::string& primitive, int64_t duration_ns)
+{
+    t_recorded_ns += duration_ns;
+    std::lock_guard<std::mutex> lock(g_installed_mutex);
+    for (OpProfiler* profiler : g_installed) {
+        profiler->record(op, module_path, primitive, duration_ns);
+    }
+}
+
+struct RowTimer::State
+{
+    std::optional<MemNodeScope> mem_scope;
+    std::optional<TraceSpan> span;
+    bool record = false;    ///< fold a row on close
+    bool remainder = false; ///< record wall minus the rows recorded meanwhile
+    std::string name;
+    std::optional<std::string> path; ///< fixed module path (phase rows)
+    std::string primitive;
+    int64_t recorded_before = 0;
+    std::chrono::steady_clock::time_point start;
+};
+
+void
+RowTimer::begin(uint32_t on, const char* op, const char* suffix,
+                const std::string& primitive, int64_t node_id,
+                const std::string* node_name)
+{
+    state_ = new State();
+    State& s = *state_;
+    if (node_id >= 0) {
+        s.mem_scope.emplace(node_id, &primitive);
+    }
+    if ((on & (kTrace | kOpProfile)) == 0) {
+        return;
+    }
+    s.record = (on & kOpProfile) != 0;
+    s.name = std::string(op) + suffix;
+    s.primitive = primitive;
+    s.span.emplace(s.name, "op"); // copied: the event outlives the timer
+    if (node_name != nullptr) {
+        s.span->arg("node", *node_name);
+    }
+    if (!ModuleScope::currentPath().empty()) {
+        s.span->arg("module", ModuleScope::currentPath());
+    }
+    if (!primitive.empty()) {
+        s.span->arg("primitive", primitive);
+    }
+    s.start = std::chrono::steady_clock::now();
+}
+
+RowTimer::RowTimer(Phase phase, const char* op, const char* primitive,
+                   std::string module_path)
+{
+    if ((instruments() & kOpProfile) == 0) {
+        return;
+    }
+    state_ = new State();
+    state_->record = true;
+    state_->remainder = phase == kRemainder;
+    state_->name = op;
+    state_->path = std::move(module_path);
+    state_->primitive = primitive;
+    state_->recorded_before = t_recorded_ns;
+    state_->start = std::chrono::steady_clock::now();
+}
+
+int64_t
+RowTimer::elapsedNs() const
+{
+    if (state_ == nullptr) {
+        return -1;
+    }
+    return nsSince(state_->start);
+}
+
+void
+RowTimer::end()
+{
+    const State& s = *state_;
+    if (s.record) {
+        int64_t ns = elapsedNs();
+        if (s.remainder) {
+            // Nested rows can overlap, so the remainder may come out
+            // negative; only a positive gap is a real unattributed cost.
+            ns -= t_recorded_ns - s.recorded_before;
+        }
+        if (!s.remainder || ns > 0) {
+            recordRow(s.name, s.path ? *s.path : ModuleScope::currentPath(),
+                      s.primitive, ns);
+        }
+    }
+    delete state_;
+    state_ = nullptr;
 }
 
 namespace {
@@ -296,8 +373,7 @@ ModuleScope::currentPath()
 bool
 ModuleScope::active()
 {
-    return OpProfiler::current() != nullptr || tracingEnabled() ||
-           memProfilingEnabled();
+    return (instruments() & kNodeInstruments) != 0;
 }
 
 } // namespace obs

@@ -2,15 +2,18 @@
  * @file
  * Per-op aggregate profiler: count / total / mean / p99 wall time per
  * (node op, module path) pair across every executed graph node
- * (docs/OBSERVABILITY.md).
+ * (docs/OBSERVABILITY.md), and the one instrumentation hook that feeds
+ * it, the trace and the memory profiler (RowTimer).
  *
  * Where obs/trace.h answers "what did this step's timeline look like",
  * the OpProfiler answers "where does the time go in aggregate" — the
  * per-primitive attribution the paper's evaluation breaks speedups down
- * by (Figs. 7-11). The graph interpreter and the autograd engine record
- * every CallOp / CallModule execution into the installed profiler;
- * nothing is recorded (one relaxed atomic load per node) when no
- * profiler is installed.
+ * by (Figs. 7-11). The graph interpreter, the autograd engine and the
+ * runtime phases time their work with RowTimer, which folds every row
+ * into every installed profiler: installing one never hides another (a
+ * user profiler, SLAPO_OP_PROFILE's and each step report's all see the
+ * same rows). With every instrument off a row costs one relaxed atomic
+ * load (obs/instruments.h).
  *
  * Aggregation keeps exact count and total; p99 comes from a fixed
  * 256-bucket log-scale histogram (4 sub-buckets per octave, <= 19%
@@ -28,10 +31,11 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/instruments.h"
 
 namespace slapo {
 namespace obs {
@@ -82,29 +86,28 @@ class OpProfiler
 
     void clear();
 
-    /**
-     * The installed profiler, or nullptr. Disabled fast path is one
-     * relaxed atomic load (plus a one-time SLAPO_OP_PROFILE environment
-     * probe, mirroring obs::tracingEnabled).
-     */
+    /** The most recently installed profiler, or nullptr when none is. */
     static OpProfiler* current();
 
     /**
-     * Total duration_ns this thread has recorded into any profiler —
+     * Total duration_ns of the rows this thread has recorded through
+     * recordRow(), each counted once however many profilers it reached —
      * a monotone thread-local counter. Snapshotting it around a region
-     * gives "attributed time inside the region", which is how the
-     * autograd engine computes the unattributed remainder it reports as
-     * its own `engine.overhead` row (docs/OBSERVABILITY.md).
+     * gives "attributed time inside the region", from which
+     * RowTimer::kRemainder computes `engine.overhead` and `executor.body`.
      */
     static int64_t threadRecordedNs();
 
   private:
-    friend class OpProfilerGuard;
     struct Impl;
     Impl* impl_;
 };
 
-/** RAII process-wide installation of an OpProfiler. */
+/**
+ * RAII process-wide subscription of an OpProfiler: pushes it onto the
+ * list of installed profilers (every row reaches all of them) and
+ * removes it again on destruction.
+ */
 class OpProfilerGuard
 {
   public:
@@ -114,15 +117,88 @@ class OpProfilerGuard
     OpProfilerGuard& operator=(const OpProfilerGuard&) = delete;
 
   private:
-    OpProfiler* previous_;
+    OpProfiler* profiler_;
+};
+
+/** Fold one row into every installed profiler; counts toward
+ * threadRecordedNs() once. */
+void recordRow(const std::string& op, const std::string& module_path,
+               const std::string& primitive, int64_t duration_ns);
+
+/**
+ * The one RAII row timer of the executors. Opens the row's trace span,
+ * on close folds the elapsed time into every installed profiler under
+ * the thread's module path, and for a graph node tags the memory
+ * profiler so tensors its kernel allocates attribute to it. With every
+ * instrument off, construction is one relaxed load and destruction one
+ * branch.
+ */
+class RowTimer
+{
+  public:
+    /** Runtime-phase rows (no span: the phase has its own). */
+    enum Phase
+    {
+        kRow,       ///< the phase's wall time
+        kRemainder, ///< its wall time minus the rows this thread recorded
+                    ///< meanwhile, recorded only when positive
+    };
+
+    /** Graph node `node` as row `op` + `suffix` ("" forward, ".bwd"
+     * backward). NodeT is graph::Node: a template keeps obs/ below graph/. */
+    template <typename NodeT>
+    RowTimer(const char* op, const NodeT& node, const char* suffix = "")
+    {
+        const uint32_t on = instruments();
+        if ((on & kNodeInstruments) != 0) {
+            begin(on, op, suffix, node.provenance().primitive, node.id(),
+                  &node.name());
+        }
+    }
+
+    /** A traced row with no graph node (the .sync() boundaries). */
+    RowTimer(const char* op, const char* suffix, const std::string& primitive)
+    {
+        const uint32_t on = instruments();
+        if ((on & (kTrace | kOpProfile)) != 0) {
+            begin(on, op, suffix, primitive, -1, nullptr);
+        }
+    }
+
+    /** A runtime-phase row recorded under the fixed `module_path`. */
+    RowTimer(Phase phase, const char* op, const char* primitive,
+             std::string module_path = std::string());
+
+    ~RowTimer()
+    {
+        if (state_ != nullptr) {
+            end();
+        }
+    }
+
+    RowTimer(const RowTimer&) = delete;
+    RowTimer& operator=(const RowTimer&) = delete;
+
+    /** Nanoseconds a phase row has been timing, or -1 when it is not. */
+    int64_t elapsedNs() const;
+
+  private:
+    struct State;
+
+    void begin(uint32_t on, const char* op, const char* suffix,
+               const std::string& primitive, int64_t node_id,
+               const std::string* node_name);
+    void end();
+
+    State* state_ = nullptr; ///< owned; set only while instrumented
 };
 
 /**
  * Thread-local dotted module-path scope shared by the interpreter and
  * the autograd engine: a CallModule pushes its target name so the ops
- * it executes are attributed to the right submodule. Free when neither
- * a profiler nor tracing is active (the push is skipped entirely — use
- * `active()` to decide, as the instrumentation sites do).
+ * it executes are attributed to the right submodule. Free when no
+ * instrument that reads the path (trace, profiler, memory profiler) is
+ * on: the constructor returns after one relaxed load.
  */
 class ModuleScope
 {

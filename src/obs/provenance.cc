@@ -76,6 +76,16 @@ lookupProvenance(const std::string& module_path)
     }
 }
 
+std::string
+resolvePrimitive(const std::string& stamped, const std::string& module_path)
+{
+    if (!stamped.empty()) {
+        return stamped;
+    }
+    const ProvenanceRecord* rec = lookupProvenance(module_path);
+    return rec != nullptr ? rec->primitive : "baseline";
+}
+
 std::vector<ProvenanceRecord>
 provenanceRecords()
 {

@@ -55,6 +55,11 @@ int64_t recordPrimitive(const std::string& primitive,
  */
 const ProvenanceRecord* lookupProvenance(const std::string& module_path);
 
+/** The primitive a row or allocation is attributed to: its node stamp
+ * when non-empty, else lookupProvenance(module_path), else "baseline". */
+std::string resolvePrimitive(const std::string& stamped,
+                             const std::string& module_path);
+
 /** All records in application order (for dumps and tests). */
 std::vector<ProvenanceRecord> provenanceRecords();
 

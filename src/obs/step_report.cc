@@ -1,9 +1,7 @@
 #include "obs/step_report.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -13,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/provenance.h"
+#include "obs/trace.h"
 #include "support/error.h"
 
 namespace slapo {
@@ -174,17 +173,7 @@ buildStepReport(const OpProfiler& profiler,
         op.total_ns = row.total_ns;
         op.mean_ns = row.mean_ns;
         op.p99_ns = row.p99_ns;
-        // Attribution: stamped node provenance wins; otherwise the most
-        // recent compute-affecting primitive on the longest prefix of the
-        // module path; otherwise baseline.
-        if (!row.primitive.empty()) {
-            op.primitive = row.primitive;
-        } else if (const ProvenanceRecord* rec =
-                       lookupProvenance(row.module_path)) {
-            op.primitive = rec->primitive;
-        } else {
-            op.primitive = "baseline";
-        }
+        op.primitive = resolvePrimitive(row.primitive, row.module_path);
 
         (isCommPrimitive(op.primitive) ? comm_total : compute_total) +=
             op.total_ns;
@@ -273,10 +262,7 @@ StepReportBuilder::finish(int64_t step)
 {
     SLAPO_ASSERT(!impl_->finished, "StepReportBuilder::finish called twice");
     impl_->finished = true;
-    const int64_t wall_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - impl_->start)
-            .count();
+    const int64_t wall_ns = nsSince(impl_->start);
     StepReport report = buildStepReport(impl_->profiler,
                                         impl_->window.values(), wall_ns,
                                         impl_->world_size, step);
@@ -296,63 +282,31 @@ StepReportBuilder::finish(int64_t step)
 
 // --- enablement ----------------------------------------------------------
 
-namespace {
-
-std::atomic<int> g_enabled{-1}; ///< -1 = probe env, 0 = off, 1 = on
-std::once_flag g_env_once;
-std::mutex g_sink_mutex;
-std::string g_sink_path; ///< SLAPO_STEP_REPORT path ("" = none)
-
-void
-probeEnv()
-{
-    std::call_once(g_env_once, [] {
-        const char* env = std::getenv("SLAPO_STEP_REPORT");
-        int expected = -1;
-        if (env != nullptr && env[0] != '\0') {
-            {
-                std::lock_guard<std::mutex> lock(g_sink_mutex);
-                g_sink_path = env;
-            }
-            g_enabled.compare_exchange_strong(expected, 1,
-                                              std::memory_order_relaxed);
-        } else {
-            g_enabled.compare_exchange_strong(expected, 0,
-                                              std::memory_order_relaxed);
-        }
-    });
-}
-
-} // namespace
-
 bool
 stepReportsEnabled()
 {
-    const int state = g_enabled.load(std::memory_order_relaxed);
-    if (state >= 0) {
-        return state == 1;
-    }
-    probeEnv();
-    return g_enabled.load(std::memory_order_relaxed) == 1;
+    return (instruments() & kStepReport) != 0;
 }
 
 void
 setStepReportsEnabled(bool on)
 {
-    probeEnv(); // settle the env state first so it cannot overwrite us
-    g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+    (void)instruments(); // settle the env state first so it cannot overwrite us
+    detail::setInstruments(kStepReport, on);
 }
 
 void
 maybeWriteStepReport(const StepReport& report)
 {
-    std::lock_guard<std::mutex> lock(g_sink_mutex);
-    if (g_sink_path.empty()) {
-        return;
-    }
+    static std::mutex mutex;
     static std::ofstream* file = nullptr;
+    std::lock_guard<std::mutex> lock(mutex);
     if (file == nullptr) {
-        file = new std::ofstream(g_sink_path, std::ios::trunc);
+        const std::string path = detail::stepReportPath();
+        if (path.empty()) {
+            return;
+        }
+        file = new std::ofstream(path, std::ios::trunc);
     }
     if (file->good()) {
         *file << report.toJson() << "\n";

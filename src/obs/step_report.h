@@ -17,8 +17,9 @@
  * Cost discipline: when step reports are disabled (the default), the
  * trainers pay one relaxed atomic load per step — nothing else changes.
  * When enabled (`SLAPO_STEP_REPORT=reports.jsonl` or
- * `setStepReportsEnabled(true)`), each step installs an OpProfiler,
- * which adds the per-node record cost documented in
+ * `setStepReportsEnabled(true)`), each step subscribes one more
+ * OpProfiler next to any already installed (every row reaches all of
+ * them), which adds the per-node record cost documented in
  * docs/OBSERVABILITY.md (~100–200 ns per executed graph node).
  */
 #pragma once
@@ -132,7 +133,7 @@ StepReport buildStepReport(
     int64_t wall_ns, int world_size, int64_t step);
 
 /**
- * RAII per-step collection: installs a fresh OpProfiler and opens a
+ * RAII per-step collection: subscribes a fresh OpProfiler and opens a
  * metrics window at construction; finish() closes both and builds the
  * report. Used by the trainers when stepReportsEnabled().
  */
@@ -152,7 +153,7 @@ class StepReportBuilder
     Impl* impl_;
 };
 
-// --- enablement (one-relaxed-atomic pattern, see obs/trace.h) -----------
+// --- enablement (one bit of the enable word, see obs/instruments.h) ------
 
 /** True when trainers should produce step reports. First call probes
  * `SLAPO_STEP_REPORT`; the hot-path cost when disabled is this one

@@ -1,12 +1,13 @@
 #include "obs/trace.h"
 
-#include <cstdlib>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
+#include <utility>
 #include <vector>
 
+#include "obs/json_util.h"
 #include "support/error.h"
 
 namespace slapo {
@@ -59,8 +60,6 @@ registry()
     return *r;
 }
 
-std::once_flag g_env_once;
-
 /** The calling thread's buffer, registered on first use and kept alive
  * by the registry even after the thread exits. */
 ThreadBuffer&
@@ -88,37 +87,6 @@ sinceEpochNs(std::chrono::steady_clock::time_point tp)
 }
 
 void
-appendJsonEscaped(std::string& out, const char* s)
-{
-    for (; *s; ++s) {
-        const char c = *s;
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof hex, "\\u%04x", c);
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-std::string
-jsonString(const char* s)
-{
-    std::string out = "\"";
-    appendJsonEscaped(out, s);
-    out += '"';
-    return out;
-}
-
-void
 emitMicros(std::string& out, int64_t ns)
 {
     // Microseconds with nanosecond resolution, no float rounding noise.
@@ -133,13 +101,13 @@ void
 emitEvent(std::string& out, const ThreadBuffer& buffer, const TraceEvent& e)
 {
     out += "{\"name\":";
-    out += jsonString(e.name ? e.name : e.owned_name.c_str());
+    out += json::quoted(e.name ? e.name : e.owned_name.c_str());
     out += ",\"ph\":\"";
     out += e.phase;
     out += '"';
     if (e.category != nullptr) {
         out += ",\"cat\":";
-        out += jsonString(e.category);
+        out += json::quoted(e.category);
     }
     out += ",\"ts\":";
     emitMicros(out, e.ts_ns);
@@ -169,35 +137,29 @@ emitMetadata(std::string& out, int pid, int tid, const char* kind,
     if (tid >= 0) {
         out += ",\"tid\":" + std::to_string(tid);
     }
-    out += ",\"args\":{\"name\":" + jsonString(label.c_str()) + "}}";
+    out += ",\"args\":{\"name\":" + json::quoted(label) + "}}";
+}
+
+/** The configured output path and the number of events recorded. */
+std::pair<std::string, int64_t>
+pathAndEventCount()
+{
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    int64_t events = 0;
+    for (auto& buffer : r.buffers) {
+        std::lock_guard<std::mutex> blk(buffer->mutex);
+        events += static_cast<int64_t>(buffer->events.size());
+    }
+    return {r.path, events};
 }
 
 } // namespace
 
-namespace detail {
-
-std::atomic<bool> g_tracing{false};
-
-bool
-tracingEnabledSlow()
-{
-    // First query also gets a chance to arm from the environment, mirroring
-    // failpoint::configureFromEnv.
-    std::call_once(g_env_once, [] {
-        const char* env = std::getenv("SLAPO_TRACE");
-        if (env != nullptr && env[0] != '\0') {
-            startTracing(env);
-            std::atexit([] { stopTracing(); });
-        }
-    });
-    return g_tracing.load(std::memory_order_relaxed);
-}
-
-} // namespace detail
-
 void
 startTracing(const std::string& path)
 {
+    (void)instruments(); // settle the environment probe first
     Registry& r = registry();
     {
         std::lock_guard<std::mutex> lock(r.mutex);
@@ -212,27 +174,17 @@ startTracing(const std::string& path)
             buffer->events.clear();
         }
     }
-    detail::g_tracing.store(true, std::memory_order_relaxed);
+    detail::setInstruments(kTrace, true);
 }
 
 int64_t
 stopTracing()
 {
-    if (!detail::g_tracing.load(std::memory_order_relaxed)) {
+    if (!tracingEnabled()) {
         return 0;
     }
-    detail::g_tracing.store(false, std::memory_order_relaxed);
-    Registry& r = registry();
-    std::string path;
-    int64_t events = 0;
-    {
-        std::lock_guard<std::mutex> lock(r.mutex);
-        path = r.path;
-        for (auto& buffer : r.buffers) {
-            std::lock_guard<std::mutex> blk(buffer->mutex);
-            events += static_cast<int64_t>(buffer->events.size());
-        }
-    }
+    detail::setInstruments(kTrace, false);
+    const auto [path, events] = pathAndEventCount();
     if (!path.empty()) {
         writeTrace(path);
     }
@@ -294,20 +246,10 @@ writeTrace(const std::string& path)
 int64_t
 flushTrace()
 {
-    if (!detail::g_tracing.load(std::memory_order_relaxed)) {
+    if (!tracingEnabled()) {
         return 0;
     }
-    Registry& r = registry();
-    std::string path;
-    int64_t events = 0;
-    {
-        std::lock_guard<std::mutex> lock(r.mutex);
-        path = r.path;
-        for (auto& buffer : r.buffers) {
-            std::lock_guard<std::mutex> blk(buffer->mutex);
-            events += static_cast<int64_t>(buffer->events.size());
-        }
-    }
+    const auto [path, events] = pathAndEventCount();
     if (path.empty()) {
         return 0; // in-memory session: nothing durable to flush to
     }
@@ -367,20 +309,11 @@ TraceSpan::begin(const char* name, const char* category)
 }
 
 void
-TraceSpan::beginOwned(std::string name, const char* category)
-{
-    live_ = true;
-    owned_name_ = std::move(name);
-    category_ = category;
-    start_ = std::chrono::steady_clock::now();
-}
-
-void
 TraceSpan::arg(const char* key, const std::string& value)
 {
     if (!live_) return;
     if (!args_.empty()) args_ += ',';
-    args_ += jsonString(key) + ":" + jsonString(value.c_str());
+    args_ += json::quoted(key) + ":" + json::quoted(value);
 }
 
 void
@@ -388,7 +321,7 @@ TraceSpan::arg(const char* key, int64_t value)
 {
     if (!live_) return;
     if (!args_.empty()) args_ += ',';
-    args_ += jsonString(key) + ":" + std::to_string(value);
+    args_ += json::quoted(key) + ":" + std::to_string(value);
 }
 
 void

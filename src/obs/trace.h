@@ -12,12 +12,12 @@
  *
  * Recording discipline (same as support/failpoint.h): when tracing is
  * disabled the entire cost of an instrumented site is ONE relaxed atomic
- * load (`tracingEnabled()`), so instrumentation can stay in hot loops
- * permanently. When enabled, each thread appends finished spans to its
- * own buffer — there is no shared lock on the recording path; a
- * per-buffer mutex (uncontended: only the owning thread records, only
- * the dump takes it) makes concurrent dump/record well-defined under
- * TSan.
+ * load of the enable word (`tracingEnabled()`, obs/instruments.h), so
+ * instrumentation can stay in hot loops permanently. When enabled,
+ * each thread appends finished spans to its own buffer — there is no
+ * shared lock on the recording path; a per-buffer mutex (uncontended:
+ * only the owning thread records, only the dump takes it) makes
+ * concurrent dump/record well-defined under TSan.
  *
  * Enabling:
  *   - `SLAPO_TRACE=out.json` in the environment: tracing starts at the
@@ -30,32 +30,39 @@
  */
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
 
+#include "obs/instruments.h"
+
 namespace slapo {
 namespace obs {
 
-namespace detail {
-extern std::atomic<bool> g_tracing;
-/** One-time SLAPO_TRACE environment probe (called by tracingEnabled). */
-bool tracingEnabledSlow();
-} // namespace detail
-
 /**
- * True while a trace is being recorded. The disabled fast path is a
- * single relaxed atomic load; the first few calls also probe the
- * SLAPO_TRACE environment variable (once per process).
+ * True while a trace is being recorded: one relaxed load of the enable
+ * word (obs/instruments.h), whose first read also probes SLAPO_TRACE.
  */
 inline bool
 tracingEnabled()
 {
-    if (detail::g_tracing.load(std::memory_order_relaxed)) {
-        return true;
-    }
-    return detail::tracingEnabledSlow();
+    return (instruments() & kTrace) != 0;
+}
+
+/** Nanoseconds since `t0` on the steady clock spans and rows are timed
+ * with; msSince() is the same in milliseconds. */
+inline int64_t
+nsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+inline double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return static_cast<double>(nsSince(t0)) / 1e6;
 }
 
 /**
@@ -125,7 +132,8 @@ class TraceSpan
     TraceSpan(std::string name, const char* category = nullptr)
     {
         if (tracingEnabled()) {
-            beginOwned(std::move(name), category);
+            owned_name_ = std::move(name);
+            begin(nullptr, category);
         }
     }
 
@@ -149,7 +157,6 @@ class TraceSpan
 
   private:
     void begin(const char* name, const char* category);
-    void beginOwned(std::string name, const char* category);
     void end();
 
     bool live_ = false;

@@ -1,7 +1,6 @@
 #include "runtime/autograd.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 
 #include "graph/memplan.h"
@@ -184,7 +183,7 @@ AutogradEngine::forwardGraph(const Graph& g, Module* owner,
             break;
           }
           case NodeKind::CallOp: {
-            nn::NodeTimer timer(opKindName(node->op()), *node);
+            obs::RowTimer timer(opKindName(node->op()), *node);
             std::vector<Value> ins;
             for (const Node* in : node->inputs()) {
                 ins.emplace_back(frame->at(in)[0]);
@@ -215,7 +214,7 @@ AutogradEngine::forwardGraph(const Graph& g, Module* owner,
                 // Collective boundaries inserted by .sync(): time them as
                 // their own row so the step report can separate the cost
                 // of aggregation from the sharded compute it follows.
-                nn::NodeTimer sync_timer("sync", "", kSyncPrimitive);
+                obs::RowTimer sync_timer("sync", "", kSyncPrimitive);
                 outs[0] = applyForwardSyncs(child->meta().syncs, outs[0]);
             }
             if (!checkpointed) {
@@ -378,7 +377,7 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
           }
           case NodeKind::CallOp: {
             const graph::OpSchema& op = graph::opSchema(node->op());
-            nn::NodeTimer timer(op.name, *node, ".bwd");
+            obs::RowTimer timer(op.name, *node, ".bwd");
             SLAPO_CHECK(op.backward != nullptr,
                         "autograd: backward not implemented for op "
                             << op.name
@@ -434,7 +433,7 @@ AutogradEngine::backwardGraph(const Graph& g, Module* owner, Frame& frame,
                 backwardGraph(*child_graph, child, *child_frame, slots);
             if (!child_in_grads.empty() && !child->meta().syncs.empty() &&
                 child_in_grads[0].materialized()) {
-                nn::NodeTimer sync_timer("sync", ".bwd", kSyncPrimitive);
+                obs::RowTimer sync_timer("sync", ".bwd", kSyncPrimitive);
                 child_in_grads[0] =
                     applyBackwardSyncs(child->meta().syncs, child_in_grads[0]);
             }
@@ -500,9 +499,8 @@ AutogradEngine::run(Module& model, const std::vector<Tensor>& inputs)
     // bookkeeping — would otherwise vanish into the step report's
     // "other" bucket. Measure the remainder and report it explicitly
     // so attribution covers the engine's own cost too.
-    obs::OpProfiler* prof = obs::OpProfiler::current();
-    const int64_t recorded_before = obs::OpProfiler::threadRecordedNs();
-    const auto run_start = std::chrono::steady_clock::now();
+    obs::RowTimer overhead(obs::RowTimer::kRemainder, "engine.overhead",
+                           "baseline");
 
     result_ = GradResult{};
     std::vector<Shape> shapes;
@@ -528,22 +526,10 @@ AutogradEngine::run(Module& model, const std::vector<Tensor>& inputs)
         result_.input_grads =
             backwardGraph(*g, &model, frame, {Tensor::full({1}, 1.0f)});
     }
-    if (prof != nullptr) {
-        const int64_t wall = std::chrono::duration_cast<
-                                 std::chrono::nanoseconds>(
-                                 std::chrono::steady_clock::now() - run_start)
-                                 .count();
-        const int64_t attributed =
-            obs::OpProfiler::threadRecordedNs() - recorded_before;
-        // Nested CallModule timers can double-count their inner ops, so
-        // the remainder may come out negative; only a positive gap is a
-        // real unattributed cost.
-        if (wall > attributed) {
-            prof->record("engine.overhead", "", "baseline",
-                         wall - attributed);
-        }
-    }
-    return result_;
+    // Traced graphs live for one run: drop them while engine.overhead is
+    // still timing, so their teardown is attributed too.
+    graph_cache_.clear();
+    return std::move(result_);
 }
 
 Tensor

@@ -137,10 +137,7 @@ saveCheckpoint(const std::string& path, const CheckpointState& state)
     if (ec) {
         throw CheckpointError(path, "atomic rename failed: " + ec.message());
     }
-    const int64_t write_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
+    const int64_t write_ns = obs::nsSince(t0);
     obs::metrics().checkpoint_write_bytes.add(payload_bytes);
     obs::metrics().checkpoint_write_ns.add(write_ns);
     if (span.live()) {
@@ -217,10 +214,7 @@ loadCheckpoint(const std::string& path)
         }
         state.tensors.push_back(std::move(entry));
     }
-    const int64_t read_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
+    const int64_t read_ns = obs::nsSince(t0);
     obs::metrics().checkpoint_read_bytes.add(payload_bytes);
     obs::metrics().checkpoint_read_ns.add(read_ns);
     if (span.live()) {

@@ -87,14 +87,6 @@ class TupleQueue
     bool aborted_ = false;
 };
 
-int64_t
-nsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 /** Pop with bubble accounting: the time a stage thread spends here is
  * time it is starved for input (pipeline.queue_wait_ns). */
 std::optional<std::vector<Tensor>>
@@ -103,7 +95,7 @@ timedPop(TupleQueue& queue)
     obs::TraceSpan span("queue.pop", "pipeline");
     const auto t0 = std::chrono::steady_clock::now();
     auto tuple = queue.pop();
-    obs::metrics().pipeline_queue_wait_ns.add(nsSince(t0));
+    obs::metrics().pipeline_queue_wait_ns.add(obs::nsSince(t0));
     return tuple;
 }
 
@@ -114,7 +106,7 @@ timedPush(TupleQueue& queue, std::vector<Tensor> tuple)
     obs::TraceSpan span("queue.push", "pipeline");
     const auto t0 = std::chrono::steady_clock::now();
     const size_t depth = queue.push(std::move(tuple));
-    obs::metrics().pipeline_push_wait_ns.add(nsSince(t0));
+    obs::metrics().pipeline_push_wait_ns.add(obs::nsSince(t0));
     obs::metrics().pipeline_queue_depth.observe(static_cast<int64_t>(depth));
     obs::traceCounter("pipeline.queue_depth", static_cast<int64_t>(depth));
 }
@@ -185,21 +177,10 @@ PipelineRuntime::forward(const std::vector<std::vector<Tensor>>& micro_batches)
                         // record the stage itself — attributed to the
                         // pipeline_split primitive that created the
                         // boundary (docs/OBSERVABILITY.md).
-                        obs::OpProfiler* prof = obs::OpProfiler::current();
-                        const auto body_start =
-                            std::chrono::steady_clock::now();
+                        obs::RowTimer stage(obs::RowTimer::kRow,
+                                            "pipeline.stage", "pipeline_split",
+                                            "stage" + std::to_string(s));
                         outputs = stages_[s]->call(values);
-                        if (prof != nullptr) {
-                            const int64_t ns =
-                                std::chrono::duration_cast<
-                                    std::chrono::nanoseconds>(
-                                    std::chrono::steady_clock::now() -
-                                    body_start)
-                                    .count();
-                            prof->record("pipeline.stage",
-                                         "stage" + std::to_string(s),
-                                         "pipeline_split", ns);
-                        }
                     }
                     ++micro_index;
                     std::vector<Tensor> next;
@@ -262,11 +243,7 @@ PipelineRuntime::forward(const std::vector<std::vector<Tensor>>& micro_batches)
                 "PipelineRuntime: lost micro-batches (stage failure?)");
     result.peak_in_flight = peak.load();
     if (obs::RunLog* log = obs::runLog()) {
-        const double wall_ms =
-            std::chrono::duration_cast<
-                std::chrono::duration<double, std::milli>>(
-                std::chrono::steady_clock::now() - forward_start)
-                .count();
+        const double wall_ms = obs::msSince(forward_start);
         obs::RunLogRecord record("pipeline.forward");
         record.num("stages", static_cast<int64_t>(num_stages))
             .num("micro_batches",

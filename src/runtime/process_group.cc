@@ -316,11 +316,6 @@ ProcessGroup::rendezvous(const char* site, int rank, const Tensor& tensor,
     // compute + result copy) both as child spans and as the always-on
     // pg.wait_ns / pg.copy_ns counters (docs/OBSERVABILITY.md).
     using Clock = std::chrono::steady_clock;
-    auto ns_since = [](Clock::time_point t0) {
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   Clock::now() - t0)
-            .count();
-    };
     obs::TraceSpan span(site, "pg");
     span.arg("rank", static_cast<int64_t>(rank));
     obs::metrics().pg_count.add(1);
@@ -352,7 +347,7 @@ ProcessGroup::rendezvous(const char* site, int rank, const Tensor& tensor,
     if (world_size_ == 1) {
         const auto t0 = Clock::now();
         Tensor out = compute({tensor})[0];
-        const int64_t copy_ns = ns_since(t0);
+        const int64_t copy_ns = obs::nsSince(t0);
         obs::metrics().pg_copy_ns.add(copy_ns);
         rc.copy_ns.fetch_add(copy_ns, std::memory_order_relaxed);
         flight.ok = true;
@@ -394,7 +389,7 @@ ProcessGroup::rendezvous(const char* site, int rank, const Tensor& tensor,
             abortLocked(site, rank, e.what());
             throwAborted();
         }
-        const int64_t compute_ns = ns_since(t0);
+        const int64_t compute_ns = obs::nsSince(t0);
         obs::metrics().pg_copy_ns.add(compute_ns);
         rc.copy_ns.fetch_add(compute_ns, std::memory_order_relaxed);
         arrived_ = 0;
@@ -413,7 +408,7 @@ ProcessGroup::rendezvous(const char* site, int rank, const Tensor& tensor,
             if (!cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms_),
                               ready)) {
                 const int64_t waited = elapsed_ms();
-                const int64_t waited_ns = ns_since(entry_time);
+                const int64_t waited_ns = obs::nsSince(entry_time);
                 obs::metrics().pg_wait_ns.add(waited_ns);
                 rc.wait_ns.fetch_add(waited_ns, std::memory_order_relaxed);
                 // Staged for reset()/rebuild(): this wait measures the
@@ -431,7 +426,7 @@ ProcessGroup::rendezvous(const char* site, int rank, const Tensor& tensor,
         } else {
             cv_.wait(lock, ready);
         }
-        const int64_t waited_ns = ns_since(entry_time);
+        const int64_t waited_ns = obs::nsSince(entry_time);
         obs::metrics().pg_wait_ns.add(waited_ns);
         rc.wait_ns.fetch_add(waited_ns, std::memory_order_relaxed);
         // A completed collective beats a later abort: if the generation
@@ -452,7 +447,7 @@ ProcessGroup::rendezvous(const char* site, int rank, const Tensor& tensor,
     obs::TraceSpan copy_span("pg.copy", "pg");
     const auto t1 = Clock::now();
     Tensor result = results_[rank].clone();
-    const int64_t clone_ns = ns_since(t1);
+    const int64_t clone_ns = obs::nsSince(t1);
     obs::metrics().pg_copy_ns.add(clone_ns);
     rc.copy_ns.fetch_add(clone_ns, std::memory_order_relaxed);
     flight.ok = true;

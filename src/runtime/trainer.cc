@@ -27,12 +27,34 @@ namespace {
 
 using StepClock = std::chrono::steady_clock;
 
-double
-msSince(StepClock::time_point t0)
+/** The run-log record of a finished step (no-op without a run log);
+ * memory fields come from the step's window when it is active. */
+void
+logStepRecord(const TrainStepStats& stats, int64_t step, int world_size,
+              StepClock::time_point step_start,
+              const obs::MemWindow& mem_window)
 {
-    return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-               StepClock::now() - t0)
-        .count();
+    obs::RunLog* log = obs::runLog();
+    if (log == nullptr) {
+        return;
+    }
+    obs::StepRecord record;
+    record.step = step;
+    record.loss = stats.loss;
+    record.grad_norm = stats.grad_norm;
+    record.micro_batches = stats.micro_batches;
+    record.tokens = stats.tokens;
+    record.step_ms = obs::msSince(step_start);
+    if (mem_window.active()) {
+        record.mem_peak_bytes = mem_window.peakBytes();
+        record.mem_live_bytes = obs::memLiveBytes();
+        record.mem_retained_bytes = obs::metrics().alloc_pooled_bytes.get();
+        record.mem_categories_json = mem_window.categoriesJson();
+    } else {
+        record.mem_peak_bytes = obs::metrics().tensor_live_bytes.peak();
+    }
+    record.world_size = world_size;
+    log->logStep(record);
 }
 
 /**
@@ -377,101 +399,58 @@ Trainer::step(const std::vector<std::vector<Tensor>>& micro_batches)
         report_builder.emplace(/*world_size=*/1);
     }
     // In-step memory window: peak + per-category bytes at the peak for
-    // the run-log step record. No-op unless memProfilingEnabled().
-    std::optional<obs::MemWindow> mem_window;
-    if (obs::memProfilingEnabled()) {
-        mem_window.emplace();
-    }
+    // the run-log step record. Inert unless memProfilingEnabled().
+    obs::MemWindow mem_window;
     TrainStepStats stats;
     stats.micro_batches = static_cast<int64_t>(micro_batches.size());
     stats.tokens = countTokens(micro_batches);
 
     std::vector<Tensor> grads;
-    int64_t micro_index = 0;
-    for (const std::vector<Tensor>& inputs : micro_batches) {
-        obs::TraceSpan micro_span("trainer.micro_batch", "trainer");
-        if (micro_span.live()) {
-            micro_span.arg("micro_batch", micro_index);
-        }
-        ++micro_index;
-        AutogradEngine engine;
-        GradResult result = engine.run(*model_, inputs);
-        stats.loss += result.outputs[0].at(0);
-        stats.stored_activation_bytes =
-            std::max(stats.stored_activation_bytes,
-                     result.stored_activation_bytes);
-        stats.recomputed_nodes += result.recomputed_nodes;
-        obs::OpProfiler* prof = obs::OpProfiler::current();
-        const auto reduce_start = StepClock::now();
-        if (grads.empty()) {
-            for (auto& [path, tensor] : params_) {
-                grads.push_back(AutogradEngine::gradFor(result, *tensor));
-            }
-        } else {
-            for (size_t i = 0; i < params_.size(); ++i) {
-                grads[i].addInPlace(
-                    AutogradEngine::gradFor(result, *params_[i].second));
-            }
-        }
-        if (prof != nullptr) {
-            // Gradient extraction / accumulation across micro-batches is
-            // unscheduled trainer work: attribute it to baseline so step
-            // reports cover it instead of leaving it in "other".
-            prof->record("grad.reduce", "", "baseline",
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             StepClock::now() - reduce_start)
-                             .count());
-        }
-    }
     {
-        obs::OpProfiler* prof = obs::OpProfiler::current();
-        const auto reduce_start = StepClock::now();
+        // Everything the step does besides the engine runs and the
+        // optimizer — extracting, accumulating and scaling gradients,
+        // their norm, dropping each micro-batch's gradients — is
+        // unscheduled trainer work: attribute it to baseline so step
+        // reports cover it instead of leaving it in "other".
+        obs::RowTimer reduce(obs::RowTimer::kRemainder, "grad.reduce",
+                             "baseline");
+        int64_t micro_index = 0;
+        for (const std::vector<Tensor>& inputs : micro_batches) {
+            obs::TraceSpan micro_span("trainer.micro_batch", "trainer");
+            if (micro_span.live()) {
+                micro_span.arg("micro_batch", micro_index);
+            }
+            ++micro_index;
+            AutogradEngine engine;
+            GradResult result = engine.run(*model_, inputs);
+            stats.loss += result.outputs[0].at(0);
+            stats.stored_activation_bytes =
+                std::max(stats.stored_activation_bytes,
+                         result.stored_activation_bytes);
+            stats.recomputed_nodes += result.recomputed_nodes;
+            if (grads.empty()) {
+                for (auto& [path, tensor] : params_) {
+                    grads.push_back(AutogradEngine::gradFor(result, *tensor));
+                }
+            } else {
+                for (size_t i = 0; i < params_.size(); ++i) {
+                    grads[i].addInPlace(
+                        AutogradEngine::gradFor(result, *params_[i].second));
+                }
+            }
+        }
         const float inv = 1.0f / static_cast<float>(micro_batches.size());
         for (Tensor& g : grads) {
             g.scaleInPlace(inv);
         }
         stats.grad_norm = globalGradNorm(grads);
-        if (prof != nullptr) {
-            prof->record("grad.reduce", "", "baseline",
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             StepClock::now() - reduce_start)
-                             .count());
-        }
-    }
-    {
         obs::TraceSpan optim_span("trainer.optim", "trainer");
-        obs::OpProfiler* prof = obs::OpProfiler::current();
-        const auto optim_start = StepClock::now();
+        obs::RowTimer optim(obs::RowTimer::kRow, "optimizer.step", "baseline");
         optimizer_.step(grads);
-        if (prof != nullptr) {
-            // Unscheduled step work: attribute explicitly to baseline so
-            // the report's coverage includes the optimizer.
-            prof->record("optimizer.step", "", "baseline",
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             StepClock::now() - optim_start)
-                             .count());
-        }
     }
     stats.loss /= static_cast<double>(micro_batches.size());
-    if (obs::RunLog* log = obs::runLog()) {
-        obs::StepRecord record;
-        record.step = optimizer_.stepCount() - 1;
-        record.loss = stats.loss;
-        record.grad_norm = stats.grad_norm;
-        record.micro_batches = stats.micro_batches;
-        record.tokens = stats.tokens;
-        record.step_ms = msSince(step_start);
-        if (mem_window && mem_window->active()) {
-            record.mem_peak_bytes = mem_window->peakBytes();
-            record.mem_live_bytes = obs::memLiveBytes();
-            record.mem_retained_bytes = obs::metrics().alloc_pooled_bytes.get();
-            record.mem_categories_json = mem_window->categoriesJson();
-        } else {
-            record.mem_peak_bytes = obs::metrics().tensor_live_bytes.peak();
-        }
-        record.world_size = 1;
-        log->logStep(record);
-    }
+    logStepRecord(stats, optimizer_.stepCount() - 1, 1, step_start,
+                  mem_window);
     if (report_builder) {
         last_report_ = report_builder->finish(optimizer_.stepCount() - 1);
         obs::maybeWriteStepReport(last_report_);
@@ -541,10 +520,7 @@ DataParallelTrainer::step(
     if (obs::stepReportsEnabled()) {
         report_builder.emplace(world);
     }
-    std::optional<obs::MemWindow> mem_window;
-    if (obs::memProfilingEnabled()) {
-        mem_window.emplace();
-    }
+    obs::MemWindow mem_window;
     SLAPO_CHECK(static_cast<int>(per_shard_inputs.size()) == base_world_,
                 "DataParallelTrainer: need one input tuple per data shard ("
                     << base_world_ << "), got " << per_shard_inputs.size());
@@ -580,25 +556,18 @@ DataParallelTrainer::step(
             }
         }
         std::vector<Tensor> grads;
-        obs::OpProfiler* prof = obs::OpProfiler::current();
         {
             obs::TraceSpan allreduce_span("trainer.grad_allreduce",
                                           "trainer");
-            const auto ar_start = StepClock::now();
+            // The data-parallel gradient exchange is communication no
+            // schedule primitive inserted — its own attribution bucket
+            // in the step report.
+            obs::RowTimer exchange(obs::RowTimer::kRow, "grad.exchange",
+                                   "data_parallel");
             // Scale by 1/#shards, not 1/#ranks: the update is a mean
             // over the fixed data partition, so the math is well-defined
             // at any (shrunken) world size.
             grads = bucketedGradAllReduce(group, rank, local, base_world_);
-            if (prof != nullptr) {
-                // The data-parallel gradient exchange is communication
-                // no schedule primitive inserted — its own attribution
-                // bucket in the step report.
-                prof->record(
-                    "grad.exchange", "", "data_parallel",
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        StepClock::now() - ar_start)
-                        .count());
-            }
         }
         if (rank == 0) {
             // Post-allreduce grads are identical on every rank; rank 0's
@@ -606,14 +575,8 @@ DataParallelTrainer::step(
             grad_norm = globalGradNorm(grads);
         }
         obs::TraceSpan optim_span("trainer.optim", "trainer");
-        const auto optim_start = StepClock::now();
+        obs::RowTimer optim(obs::RowTimer::kRow, "optimizer.step", "baseline");
         optimizers_[rank]->step(grads);
-        if (prof != nullptr) {
-            prof->record("optimizer.step", "", "baseline",
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             StepClock::now() - optim_start)
-                             .count());
-        }
     });
 
     TrainStepStats stats;
@@ -629,31 +592,17 @@ DataParallelTrainer::step(
         stats.recomputed_nodes += recomputed[r];
     }
     stats.loss /= base_world_;
-    if (obs::RunLog* log = obs::runLog()) {
-        obs::StepRecord record;
-        record.step = optimizers_[0]->stepCount() - 1;
-        record.loss = stats.loss;
-        record.grad_norm = stats.grad_norm;
-        record.micro_batches = stats.micro_batches;
-        record.tokens = stats.tokens;
-        record.step_ms = msSince(step_start);
-        if (mem_window && mem_window->active()) {
-            record.mem_peak_bytes = mem_window->peakBytes();
-            record.mem_live_bytes = obs::memLiveBytes();
-            record.mem_retained_bytes = obs::metrics().alloc_pooled_bytes.get();
-            record.mem_categories_json = mem_window->categoriesJson();
-        } else {
-            record.mem_peak_bytes = obs::metrics().tensor_live_bytes.peak();
-        }
-        record.world_size = world;
-        log->logStep(record);
-    }
+    logStepRecord(stats, optimizers_[0]->stepCount() - 1, world, step_start,
+                  mem_window);
     if (report_builder) {
-        last_report_ = report_builder->finish(optimizers_[0]->stepCount() - 1);
         // Straggler detection: attach the cross-rank min/max/mean/spread
         // of the collective counters (runs the same gather collectives
-        // the report describes — only while reports are enabled).
-        last_report_.per_rank_json = gatherMetrics().toJson();
+        // the report describes — only while reports are enabled). The
+        // gather runs inside the report's window, so the report holds
+        // every row any other installed profiler saw during step().
+        std::string per_rank_json = gatherMetrics().toJson();
+        last_report_ = report_builder->finish(optimizers_[0]->stepCount() - 1);
+        last_report_.per_rank_json = std::move(per_rank_json);
         obs::maybeWriteStepReport(last_report_);
     }
     return stats;
@@ -885,7 +834,7 @@ DataParallelTrainer::elasticShrink()
             .num("old_world", static_cast<int64_t>(old_world))
             .num("new_world", static_cast<int64_t>(executor_.worldSize()))
             .num("generation", group.membershipGeneration())
-            .num("rebuild_ms", msSince(t0));
+            .num("rebuild_ms", obs::msSince(t0));
         log->write(record);
     }
 }

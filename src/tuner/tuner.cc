@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/run_log.h"
 #include "obs/step_report.h"
+#include "obs/trace.h"
 #include "tensor/tensor.h"
 
 namespace slapo {
@@ -59,10 +60,7 @@ class Evaluator
         // Measured memory per trial: an attribution window over the
         // eval, plus the sim's predicted peak when the eval ran the
         // performance model (obs::reportSimPeakBytes side channel).
-        std::optional<obs::MemWindow> mem_window;
-        if (obs::memProfilingEnabled()) {
-            mem_window.emplace();
-        }
+        obs::MemWindow mem_window; // inert unless memProfilingEnabled()
         (void)obs::takeSimPeakBytes(); // drop any stale prediction
         const auto t0 = std::chrono::steady_clock::now();
         // Trial admission: a config whose schedule fails the static lint
@@ -84,9 +82,9 @@ class Evaluator
             report = report_builder->finish(
                 static_cast<int64_t>(result.evaluated));
         }
-        const bool mem_measured = mem_window && mem_window->active();
+        const bool mem_measured = mem_window.active();
         const int64_t mem_peak = mem_measured
-                                     ? mem_window->peakBytes()
+                                     ? mem_window.peakBytes()
                                      : window.get("tensor.peak_bytes");
         // Budget pruning on *measured* peak: a config that exceeds the
         // memory budget is infeasible regardless of its throughput —
@@ -106,11 +104,7 @@ class Evaluator
             result.best = config;
         }
         if (obs::RunLog* log = obs::runLog()) {
-            const double eval_ms =
-                std::chrono::duration_cast<
-                    std::chrono::duration<double, std::milli>>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+            const double eval_ms = obs::msSince(t0);
             obs::RunLogRecord record("tuner.trial");
             record.num("trial", static_cast<int64_t>(result.evaluated))
                 .raw("config", configJson(config))
@@ -120,7 +114,7 @@ class Evaluator
                 .num("pg_wait_ns", window.get("pg.wait_ns"))
                 .num("mem_peak_bytes", mem_peak);
             if (mem_measured) {
-                record.raw("mem_categories", mem_window->categoriesJson());
+                record.raw("mem_categories", mem_window.categoriesJson());
             }
             if (sim_peak >= 0) {
                 // Close the loop with the paper's performance model:
