@@ -10,7 +10,8 @@
 # the executors' release paths.
 #
 # Registered as the `asan_alloc` ctest (bench/CMakeLists.txt) scoped to
-# the Alloc/Tensor/Ops tests so tier-1 stays fast; run it manually with
+# the Alloc/Tensor tests and the op table's malformed-operand rows
+# (OpShapes) so tier-1 stays fast; run it manually with
 # no filter for whole-suite ASan coverage:
 #
 # Usage: bench/run_asan.sh [extra ctest args, e.g. -R Alloc]

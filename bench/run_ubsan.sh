@@ -10,7 +10,8 @@
 # tensor/alloc.* should pass through here.
 #
 # Registered as the `ubsan_core` ctest (bench/CMakeLists.txt) scoped to
-# the graph/schedule/alloc/analysis tests so tier-1 stays fast; run it
+# the graph/schedule/alloc/analysis tests and the op table's shape rules
+# (OpShapes) so tier-1 stays fast; run it
 # manually with no filter for whole-suite UBSan coverage:
 #
 # Usage: bench/run_ubsan.sh [extra ctest args, e.g. -R Sharding]

@@ -1,7 +1,6 @@
 #include "analysis/shape_infer.h"
 
 #include <optional>
-#include <sstream>
 
 #include "graph/op_schema.h"
 
@@ -39,10 +38,11 @@ axisInRange(int64_t axis, size_t rank)
     return axis >= 0 && axis < static_cast<int64_t>(rank);
 }
 
-/** Per-node inference state: propagated shapes + float taint per output. */
+/** Per-node inference state: a meta tensor of the first declared output
+ * (what consumers' shape rules see) and the real-valued taint per output. */
 struct ValueInfo
 {
-    std::vector<Shape> shapes;
+    std::optional<Tensor> value;
     std::vector<bool> is_float;
 };
 
@@ -64,24 +64,15 @@ class GraphInfer
         return it == info_.end() ? nullptr : &it->second;
     }
 
-    /** First-output shape of input `i`, or nullptr when unavailable. */
-    const Shape* inShape(const Node* node, size_t i) const
+    /** Meta value of input `i`, or nullptr when its shape is unknown. */
+    const Tensor* operand(const Node* node, size_t i) const
     {
-        if (i >= node->inputs().size()) {
-            return nullptr;
-        }
         const ValueInfo* info = infoOf(node->inputs()[i]);
-        if (info == nullptr || info->shapes.empty()) {
-            return nullptr;
-        }
-        return &info->shapes[0];
+        return info != nullptr && info->value ? &*info->value : nullptr;
     }
 
     bool inFloat(const Node* node, size_t i) const
     {
-        if (i >= node->inputs().size()) {
-            return false;
-        }
         const ValueInfo* info = infoOf(node->inputs()[i]);
         return info != nullptr && !info->is_float.empty() &&
                info->is_float[0];
@@ -97,14 +88,19 @@ class GraphInfer
 
     /** Compare the computed shape against the node's declared shape. */
     void checkDeclared(const Node* node, const Shape& computed);
+    /** All-gather / reduce-scatter against their input extent `in`;
+     * raises SlapoError on a missing or out-of-range axis. */
+    void checkCollective(const Node* node, const Shape& in);
 
     void inferCallOp(const Node* node, ValueInfo& out);
-    void inferFused(const Node* node, ValueInfo& out);
+    void inferFused(const Node* node);
 
     const graph::Graph& graph_;
     const std::string& path_;
     Diagnostics& diags_;
     std::map<const Node*, ValueInfo> info_;
+    /** inferCallOp's operand list, reused across nodes. */
+    std::vector<const Tensor*> operands_;
 };
 
 void
@@ -124,307 +120,71 @@ GraphInfer::checkDeclared(const Node* node, const Shape& computed)
 }
 
 void
+GraphInfer::checkCollective(const Node* node, const Shape& in)
+{
+    // The extent scaling factor is the tracing-time world size, which the
+    // graph does not record; check divisibility instead of the exact
+    // extent.
+    const int64_t axis = normalizeAxis(node->attrInt("axis"), in.size());
+    SLAPO_CHECK(axisInRange(axis, in.size()),
+                "bad axis " << node->attrInt("axis") << " for "
+                            << shapeToString(in));
+    if (node->shapes().empty()) {
+        return;
+    }
+    const Shape& declared = node->shapes()[0];
+    const bool gather = node->op() == OpKind::AllGather;
+    bool ok = declared.size() == in.size();
+    for (size_t d = 0; ok && d < declared.size(); ++d) {
+        if (static_cast<int64_t>(d) == axis) {
+            const int64_t big = gather ? declared[d] : in[d];
+            const int64_t small = gather ? in[d] : declared[d];
+            ok = small > 0 && big % small == 0;
+        } else {
+            ok = declared[d] == in[d];
+        }
+    }
+    if (!ok) {
+        report(diags_, "SLP101", Severity::Error,
+               "collective '" + node->signature() + "' declares " +
+                   shapeToString(declared) +
+                   " which is not a per-axis multiple/divisor of its input " +
+                   shapeToString(in),
+               path_, node);
+    }
+}
+
+void
 GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
 {
     const OpKind op = node->op();
-    const size_t arity = node->inputs().size();
     const graph::OpSchema& schema = graph::opSchema(op);
-    if (arity < static_cast<size_t>(schema.min_arity) ||
-        arity > static_cast<size_t>(schema.max_arity)) {
-        badInputs(node, "takes " + graph::arityText(schema) +
-                            " inputs, got " + std::to_string(arity));
-        return;
+    const size_t arity = node->inputs().size();
+
+    bool is_float = schema.real_out == graph::RealOut::Always;
+    for (size_t i = 0; schema.real_out == graph::RealOut::IfAny && i < arity;
+         ++i) {
+        is_float = is_float || inFloat(node, i);
     }
-    const Shape* a = inShape(node, 0);
-    const Shape* b = inShape(node, 1);
+    out.is_float.assign(std::max<size_t>(node->shapes().size(), 1),
+                        is_float);
 
-    // Default: propagate the declared shape, taint unknown.
-    std::optional<Shape> computed;
-    bool is_float = false;
-
-    switch (op) {
-      case OpKind::Add:
-      case OpKind::Sub:
-      case OpKind::Mul:
-      case OpKind::Div: {
-        if (a == nullptr || b == nullptr) {
-            badInputs(node, "binary op needs two inputs");
-            break;
+    try {
+        graph::checkArity(schema, arity);
+        operands_.clear();
+        for (size_t i = 0; i < arity; ++i) {
+            const Tensor* value = operand(node, i);
+            SLAPO_CHECK(value != nullptr,
+                        "operand " << i << " (%" << node->inputs()[i]->name()
+                                   << ") has no known shape");
+            operands_.push_back(value);
         }
-        try {
-            computed = broadcastShapes(*a, *b);
-        } catch (const SlapoError&) {
-            badInputs(node, "operands " + shapeToString(*a) + " and " +
-                                shapeToString(*b) + " do not broadcast");
-        }
-        is_float = op == OpKind::Div || inFloat(node, 0) || inFloat(node, 1);
-        break;
-      }
-      case OpKind::Scale:
-      case OpKind::AddScalar:
-      case OpKind::Gelu:
-      case OpKind::Relu:
-      case OpKind::Tanh:
-      case OpKind::Clamp:
-      case OpKind::RangeMask:
-      case OpKind::CausalMask:
-      case OpKind::Softmax:
-      case OpKind::Dropout:
-      case OpKind::Identity: {
-        if (a == nullptr) {
-            badInputs(node, "unary op needs one input");
-            break;
-        }
-        computed = *a;
-        switch (op) {
-          case OpKind::Gelu:
-          case OpKind::Tanh:
-          case OpKind::Softmax:
-          case OpKind::Dropout:
-          case OpKind::Scale:
-          case OpKind::CausalMask:
-            is_float = true;
-            break;
-          case OpKind::RangeMask:
-            is_float = false; // 0/1 mask, integral-safe
-            break;
-          default:
-            is_float = inFloat(node, 0);
-            break;
-        }
-        break;
-      }
-      case OpKind::RelPosBias: {
-        if (a == nullptr || b == nullptr) {
-            badInputs(node, "rel_pos_bias needs (scores, table)");
-            break;
-        }
-        if (a->size() != 4 || b->size() != 2 || (*a)[1] != (*b)[0]) {
-            badInputs(node, "scores " + shapeToString(*a) +
-                                " vs head-indexed table " +
-                                shapeToString(*b));
-            break;
-        }
-        computed = *a;
-        is_float = true;
-        break;
-      }
-      case OpKind::LayerNormOp:
-      case OpKind::BatchNormOp: {
-        if (a == nullptr) {
-            badInputs(node, "normalization needs (x, gamma, beta)");
-            break;
-        }
-        const Shape* gamma = inShape(node, 1);
-        const int64_t feat = op == OpKind::LayerNormOp
-                                 ? (a->empty() ? 0 : a->back())
-                                 : (a->size() > 1 ? (*a)[1] : 0);
-        if (gamma != nullptr &&
-            (gamma->size() != 1 || (*gamma)[0] != feat)) {
-            badInputs(node, "gamma " + shapeToString(*gamma) +
-                                " does not match feature extent " +
-                                std::to_string(feat));
-        }
-        computed = *a;
-        is_float = true;
-        break;
-      }
-      case OpKind::Matmul: {
-        if (a == nullptr || b == nullptr) {
-            badInputs(node, "matmul needs two inputs");
-            break;
-        }
-        if (a->size() < 2 || b->size() < 2 ||
-            a->back() != (*b)[b->size() - 2]) {
-            badInputs(node, "inner extents of " + shapeToString(*a) +
-                                " @ " + shapeToString(*b) +
-                                " do not match");
-            break;
-        }
-        Shape batch_a(a->begin(), a->end() - 2);
-        Shape batch_b(b->begin(), b->end() - 2);
-        try {
-            Shape result = broadcastShapes(batch_a, batch_b);
-            result.push_back((*a)[a->size() - 2]);
-            result.push_back(b->back());
-            computed = std::move(result);
-        } catch (const SlapoError&) {
-            badInputs(node, "batch extents of " + shapeToString(*a) +
-                                " @ " + shapeToString(*b) +
-                                " do not broadcast");
-        }
-        is_float = true;
-        break;
-      }
-      case OpKind::LinearOp: {
-        if (a == nullptr || b == nullptr) {
-            badInputs(node, "linear needs (x, weight[, bias])");
-            break;
-        }
-        if (b->size() != 2 || a->empty() || a->back() != (*b)[1]) {
-            badInputs(node, "input " + shapeToString(*a) +
-                                " vs weight " + shapeToString(*b));
-            break;
-        }
-        const Shape* bias = arity == 3 ? inShape(node, 2) : nullptr;
-        if (bias != nullptr &&
-            (bias->size() != 1 || (*bias)[0] != (*b)[0])) {
-            badInputs(node, "bias " + shapeToString(*bias) +
-                                " vs weight " + shapeToString(*b));
-        }
-        Shape result = *a;
-        result.back() = (*b)[0];
-        computed = std::move(result);
-        is_float = true;
-        break;
-      }
-      case OpKind::TransposeLast2: {
-        if (a == nullptr || a->size() < 2) {
-            badInputs(node, "transpose needs rank >= 2");
-            break;
-        }
-        Shape result = *a;
-        std::swap(result[result.size() - 1], result[result.size() - 2]);
-        computed = std::move(result);
-        is_float = inFloat(node, 0);
-        break;
-      }
-      case OpKind::Reshape: {
-        if (a == nullptr || !node->hasAttr("shape")) {
-            badInputs(node, "reshape needs input and 'shape' attr");
-            break;
-        }
-        Shape target = node->attrInts("shape");
-        if (numelOf(target) != numelOf(*a)) {
-            badInputs(node, "reshape " + shapeToString(*a) + " -> " +
-                                shapeToString(target) +
-                                " changes element count");
-            break;
-        }
-        computed = std::move(target);
-        is_float = inFloat(node, 0);
-        break;
-      }
-      case OpKind::Permute: {
-        if (a == nullptr || !node->hasAttr("perm")) {
-            badInputs(node, "permute needs input and 'perm' attr");
-            break;
-        }
-        const std::vector<int64_t>& perm = node->attrInts("perm");
-        if (perm.size() != a->size()) {
-            badInputs(node, "perm rank " + std::to_string(perm.size()) +
-                                " vs input rank " +
-                                std::to_string(a->size()));
-            break;
-        }
-        Shape result(a->size());
-        bool ok = true;
-        std::vector<bool> seen(a->size(), false);
-        for (size_t i = 0; i < perm.size(); ++i) {
-            if (!axisInRange(perm[i], a->size()) || seen[perm[i]]) {
-                ok = false;
-                break;
-            }
-            seen[perm[i]] = true;
-            result[i] = (*a)[perm[i]];
-        }
-        if (!ok) {
-            badInputs(node, "'perm' is not a permutation of the axes");
-            break;
-        }
-        computed = std::move(result);
-        is_float = inFloat(node, 0);
-        break;
-      }
-      case OpKind::Concat: {
-        if (a == nullptr || !node->hasAttr("axis")) {
-            badInputs(node, "concat needs inputs and an 'axis' attr");
-            break;
-        }
-        const int64_t axis = normalizeAxis(node->attrInt("axis"), a->size());
-        if (!axisInRange(axis, a->size())) {
-            badInputs(node, "concat axis out of range");
-            break;
-        }
-        Shape result = *a;
-        bool ok = true;
-        bool any_float = inFloat(node, 0);
-        for (size_t i = 1; i < arity; ++i) {
-            const Shape* s = inShape(node, i);
-            if (s == nullptr || s->size() != a->size()) {
-                ok = false;
-                break;
-            }
-            for (size_t d = 0; d < s->size(); ++d) {
-                if (static_cast<int64_t>(d) != axis &&
-                    (*s)[d] != (*a)[d]) {
-                    ok = false;
-                }
-            }
-            if (!ok) {
-                break;
-            }
-            result[axis] += (*s)[axis];
-            any_float = any_float || inFloat(node, i);
-        }
-        if (!ok) {
-            badInputs(node, "concat operands disagree off the concat axis");
-            break;
-        }
-        computed = std::move(result);
-        is_float = any_float;
-        break;
-      }
-      case OpKind::Narrow: {
-        if (a == nullptr || !node->hasAttr("axis")) {
-            badInputs(node, "narrow needs input and axis/start/length");
-            break;
-        }
-        const int64_t axis = normalizeAxis(node->attrInt("axis"), a->size());
-        const int64_t start = node->attrInt("start");
-        const int64_t length = node->attrInt("length");
-        if (!axisInRange(axis, a->size()) || start < 0 || length <= 0 ||
-            start + length > (*a)[axis]) {
-            badInputs(node, "narrow [" + std::to_string(start) + ", " +
-                                std::to_string(start + length) +
-                                ") exceeds axis extent " +
-                                std::to_string((*a)[axis]));
-            break;
-        }
-        Shape result = *a;
-        result[axis] = length;
-        computed = std::move(result);
-        is_float = inFloat(node, 0);
-        break;
-      }
-      case OpKind::EmbeddingOp: {
-        if (a == nullptr || b == nullptr) {
-            badInputs(node, "embedding needs (ids, table)");
-            break;
-        }
-        if (b->size() != 2) {
-            badInputs(node, "embedding table must be 2-D, got " +
-                                shapeToString(*b));
-            break;
-        }
-        if (inFloat(node, 0)) {
+        if (op == OpKind::EmbeddingOp && inFloat(node, 0)) {
             report(diags_, "SLP110", Severity::Error,
                    "embedding ids input is a real-valued tensor "
                    "(produced by floating-point compute); ids must stay "
                    "integral",
                    path_, node);
-        }
-        Shape result = *a;
-        result.push_back(b->back());
-        computed = std::move(result);
-        is_float = true;
-        break;
-      }
-      case OpKind::CrossEntropyOp:
-      case OpKind::MseLossOp: {
-        if (a == nullptr || b == nullptr) {
-            badInputs(node, "loss needs (prediction, target)");
-            break;
         }
         if (op == OpKind::CrossEntropyOp && inFloat(node, 1)) {
             report(diags_, "SLP111", Severity::Error,
@@ -433,95 +193,19 @@ GraphInfer::inferCallOp(const Node* node, ValueInfo& out)
                    "integral",
                    path_, node);
         }
-        computed = Shape{1};
-        is_float = true;
-        break;
-      }
-      case OpKind::Conv2dOp: {
-        if (a == nullptr || b == nullptr) {
-            badInputs(node, "conv2d needs (x, w)");
-            break;
+        if (op == OpKind::AllGather || op == OpKind::ReduceScatter) {
+            checkCollective(node, operands_[0]->shape());
+        } else {
+            checkDeclared(node, schema.shape(graph::OpArgs(
+                                    operands_, node->attrs(), schema.name)));
         }
-        if (a->size() != 4 || b->size() != 4 || (*a)[1] != (*b)[1]) {
-            badInputs(node, "NCHW input " + shapeToString(*a) +
-                                " vs OIHW weight " + shapeToString(*b));
-            break;
-        }
-        const int64_t stride =
-            node->hasAttr("stride") ? node->attrInt("stride") : 1;
-        const int64_t pad = node->hasAttr("pad") ? node->attrInt("pad") : 0;
-        const int64_t ho = ((*a)[2] + 2 * pad - (*b)[2]) / stride + 1;
-        const int64_t wo = ((*a)[3] + 2 * pad - (*b)[3]) / stride + 1;
-        if (ho <= 0 || wo <= 0) {
-            badInputs(node, "kernel does not fit the padded input");
-            break;
-        }
-        computed = Shape{(*a)[0], (*b)[0], ho, wo};
-        is_float = true;
-        break;
-      }
-      case OpKind::GlobalAvgPoolOp: {
-        if (a == nullptr || a->size() != 4) {
-            badInputs(node, "global average pool needs a 4-D input");
-            break;
-        }
-        computed = Shape{(*a)[0], (*a)[1]};
-        is_float = true;
-        break;
-      }
-      case OpKind::AllReduce: {
-        if (a != nullptr) {
-            computed = *a;
-        }
-        is_float = inFloat(node, 0);
-        break;
-      }
-      case OpKind::AllGather:
-      case OpKind::ReduceScatter: {
-        // The extent scaling factor is the tracing-time world size,
-        // which the graph does not record; check divisibility instead
-        // of the exact extent.
-        is_float = inFloat(node, 0);
-        if (a == nullptr || node->shapes().empty()) {
-            break;
-        }
-        const Shape& declared = node->shapes()[0];
-        const int64_t axis = normalizeAxis(
-            node->hasAttr("axis") ? node->attrInt("axis") : -1, a->size());
-        bool ok = declared.size() == a->size() && axisInRange(axis, a->size());
-        for (size_t d = 0; ok && d < declared.size(); ++d) {
-            if (static_cast<int64_t>(d) == axis) {
-                const int64_t big = op == OpKind::AllGather ? declared[d]
-                                                            : (*a)[d];
-                const int64_t small = op == OpKind::AllGather ? (*a)[d]
-                                                              : declared[d];
-                ok = small > 0 && big % small == 0;
-            } else {
-                ok = declared[d] == (*a)[d];
-            }
-        }
-        if (!ok) {
-            report(diags_, "SLP101", Severity::Error,
-                   "collective '" + node->signature() + "' declares " +
-                       shapeToString(declared) +
-                       " which is not a per-axis multiple/divisor of its "
-                       "input " +
-                       shapeToString(*a),
-                   path_, node);
-        }
-        return; // declared shape is the propagated value; checked above
-      }
+    } catch (const SlapoError& e) {
+        badInputs(node, e.what());
     }
-
-    if (computed.has_value()) {
-        checkDeclared(node, *computed);
-    }
-    out.is_float.assign(std::max<size_t>(node->shapes().size(), 1),
-                        is_float);
 }
 
 void
-GraphInfer::inferFused(const Node* node, ValueInfo& out)
+GraphInfer::inferFused(const Node* node)
 {
     graph::Graph* sub = node->subgraph();
     if (sub == nullptr) {
@@ -539,16 +223,16 @@ GraphInfer::inferFused(const Node* node, ValueInfo& out)
     // The fused node's operands must match the subgraph's placeholder
     // declarations — the subgraph is checked internally against those.
     for (size_t i = 0; i < sub_inputs.size(); ++i) {
-        const Shape* outer = inShape(node, i);
+        const Tensor* outer = operand(node, i);
         if (outer == nullptr || sub_inputs[i]->shapes().empty()) {
             continue;
         }
-        if (*outer != sub_inputs[i]->shapes()[0]) {
+        if (outer->shape() != sub_inputs[i]->shapes()[0]) {
             report(diags_, "SLP101", Severity::Error,
                    "fused subgraph input " + std::to_string(i) +
                        " declares " +
                        shapeToString(sub_inputs[i]->shapes()[0]) +
-                       " but receives " + shapeToString(*outer),
+                       " but receives " + shapeToString(outer->shape()),
                    path_, node);
         }
     }
@@ -577,7 +261,9 @@ GraphInfer::run()
 {
     for (const Node* node : graph_.nodes()) {
         ValueInfo out;
-        out.shapes = node->shapes(); // propagate declarations
+        if (!node->shapes().empty()) {
+            out.value = Tensor::meta(node->shapes()[0]); // the declaration
+        }
         out.is_float.assign(std::max<size_t>(node->shapes().size(), 1),
                             false);
         switch (node->kind()) {
@@ -640,7 +326,7 @@ GraphInfer::run()
           case NodeKind::CallModule:
             break; // child output declarations are trusted here
           case NodeKind::FusedOp:
-            inferFused(node, out);
+            inferFused(node);
             break;
           case NodeKind::TupleGet: {
             if (node->inputs().empty()) {

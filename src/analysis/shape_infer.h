@@ -2,19 +2,24 @@
  * @file
  * Static shape / dtype inference over traced graphs (zero execution).
  *
- * Re-derives every node's output shape from the declared placeholder and
- * parameter shapes using the same per-op rules the interpreter's kernels
- * enforce at runtime (nn/functional.cc), and compares against the shape
- * the node *declares*. A schedule rewrite that left the graph
+ * Re-derives every op node's output shape by running the op table's own
+ * arity check and shape rule (graph/op_schema.h) — the rule nn::dispatchOp
+ * runs before every kernel — on meta operands built from the declared
+ * placeholder and parameter shapes, and compares the result against the
+ * shape the node *declares*. A schedule rewrite that left the graph
  * inconsistent — a `.replace()` whose subgraph emits the wrong extent, a
  * fused kernel whose inner graph no longer matches its node — surfaces
  * as a diagnostic naming the node, its Provenance stamp, and the module
- * path, instead of a kernel assertion deep inside a training step.
+ * path, instead of a kernel assertion deep inside a training step. Only
+ * all-gather and reduce-scatter keep a rule of their own here: their
+ * extent depends on the tracing-time world size, which the graph does
+ * not record, so the checker tests divisibility instead.
  *
- * Dtype inference is a two-point lattice {Any, Float}: ops that produce
- * definitely-real values (softmax, gelu, matmul, ...) taint their
- * output, and consumers that need integral inputs (embedding ids,
- * cross-entropy targets) report when fed a tainted value.
+ * Dtype inference is a two-point lattice {Any, Float} driven by the op
+ * table's real-output column: ops that produce definitely-real values
+ * (softmax, gelu, matmul, ...) taint their output, and consumers that
+ * need integral inputs (embedding ids, cross-entropy targets) report
+ * when fed a tainted value.
  *
  * Codes: SLP101 node shape contradiction, SLP102 parameter shape
  * mismatch, SLP103 impossible op inputs, SLP110 real-valued embedding

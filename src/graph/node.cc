@@ -42,6 +42,16 @@ findAttr(const AttrMap& attrs, const std::string& key, std::string_view owner)
     return it->second;
 }
 
+template <typename V>
+const V&
+typed(const Attr& a, const std::string& key, std::string_view owner)
+{
+    const V* v = std::get_if<V>(&a);
+    SLAPO_CHECK(v != nullptr, "node " << owner << ": attr " << key
+                                      << " has the wrong type");
+    return *v;
+}
+
 } // namespace
 
 int64_t
@@ -49,7 +59,7 @@ attrInt(const AttrMap& attrs, const std::string& key, std::string_view owner)
 {
     const Attr& a = findAttr(attrs, key, owner);
     if (const auto* v = std::get_if<int64_t>(&a)) return *v;
-    return static_cast<int64_t>(std::get<double>(a));
+    return static_cast<int64_t>(typed<double>(a, key, owner));
 }
 
 double
@@ -57,19 +67,20 @@ attrFloat(const AttrMap& attrs, const std::string& key, std::string_view owner)
 {
     const Attr& a = findAttr(attrs, key, owner);
     if (const auto* v = std::get_if<double>(&a)) return *v;
-    return static_cast<double>(std::get<int64_t>(a));
+    return static_cast<double>(typed<int64_t>(a, key, owner));
 }
 
 const std::string&
 attrStr(const AttrMap& attrs, const std::string& key, std::string_view owner)
 {
-    return std::get<std::string>(findAttr(attrs, key, owner));
+    return typed<std::string>(findAttr(attrs, key, owner), key, owner);
 }
 
 const std::vector<int64_t>&
 attrInts(const AttrMap& attrs, const std::string& key, std::string_view owner)
 {
-    return std::get<std::vector<int64_t>>(findAttr(attrs, key, owner));
+    return typed<std::vector<int64_t>>(findAttr(attrs, key, owner), key,
+                                       owner);
 }
 
 std::string

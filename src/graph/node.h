@@ -100,8 +100,8 @@ using AttrMap = std::map<std::string, Attr>;
 
 /**
  * Typed attribute reads shared by Node and the op table. Ints and floats
- * convert into each other; a missing key raises SlapoError naming
- * `owner` (the node or op).
+ * convert into each other; a missing key or a value of another type
+ * raises SlapoError naming `owner` (the node or op).
  */
 int64_t attrInt(const AttrMap& attrs, const std::string& key,
                 std::string_view owner);

@@ -8,12 +8,15 @@
  * graph interpreter (shape, cost, kernel — via nn::dispatchOp), the
  * memory planner and its audit (in-place eligible iff the op has a
  * twin), the autograd engine (backward rule), opKindName, and the static
- * shape checker's SLP103 arity check. Adding an op: an OpKind, one entry
- * in op_schema.cc and one nn::F wrapper (DESIGN.md, "Adding an op").
+ * shape checker (analysis/shape_infer.h), which runs the same arity
+ * check and shape rule on meta operands and reads the real-output
+ * column. Adding an op: an OpKind, one entry in op_schema.cc and one
+ * nn::F wrapper (DESIGN.md, "Adding an op").
  */
 #pragma once
 
 #include <climits>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,6 +61,11 @@ class OpArgs
 /** `OpSchema::max_arity` of ops without an upper bound (concat). */
 inline constexpr int kVariadic = INT_MAX;
 
+/** Whether an op's output is real-valued, for the static integrality
+ * checks (SLP110/SLP111): when any operand is (add, reshape, concat),
+ * always (softmax, matmul), or never (range_mask's 0/1 mask). */
+enum class RealOut : uint8_t { IfAny, Always, Never };
+
 /** Everything the system knows about one OpKind. */
 struct OpSchema
 {
@@ -66,7 +74,11 @@ struct OpSchema
     const char* name;
     int min_arity;
     int max_arity;
-    /** Output shape; raises SlapoError on operands the op rejects. */
+    RealOut real_out;
+    /** Output shape; raises SlapoError on operands or attributes the op
+     * rejects. It runs before every kernel and in the static checker, so
+     * it range-checks everything it reads, and its checks allocate
+     * nothing. */
     Shape (*shape)(const OpArgs& args);
     /** FLOPs (collectives: payload elements); nullptr costs nothing. */
     double (*cost)(const OpArgs& args, const Shape& out);
@@ -89,8 +101,8 @@ struct OpSchema
 /** The table entry of `kind`. */
 const OpSchema& opSchema(OpKind kind);
 
-/** `op`'s arity as error-message text: "2", "2..3" or "1..n". */
-std::string arityText(const OpSchema& op);
+/** Raises SlapoError unless `op` takes `arity` operands. */
+void checkArity(const OpSchema& op, size_t arity);
 
 } // namespace graph
 } // namespace slapo

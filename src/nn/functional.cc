@@ -15,10 +15,7 @@ dispatchOp(OpKind kind, const graph::AttrMap& attrs,
            const std::vector<Value>& inputs)
 {
     const graph::OpSchema& op = graph::opSchema(kind);
-    const int arity = static_cast<int>(inputs.size());
-    SLAPO_CHECK(arity >= op.min_arity && arity <= op.max_arity,
-                op.name << ": takes " << graph::arityText(op)
-                        << " inputs, got " << arity);
+    graph::checkArity(op, inputs.size());
 
     std::vector<const Tensor*> tensors;
     tensors.reserve(inputs.size());

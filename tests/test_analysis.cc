@@ -463,6 +463,71 @@ TEST(ShapeInfer, FloatEmbeddingIdsAreCaught)
     EXPECT_TRUE(diags.hasCode("SLP110")) << diags.toString();
 }
 
+TEST(ShapeInfer, FloatCrossEntropyTargetsAreCaught)
+{
+    // targets -> gelu -> cross_entropy: the class targets became real.
+    auto g = std::make_shared<graph::Graph>();
+    graph::Node* logits =
+        g->createNode(graph::NodeKind::Placeholder, "logits");
+    logits->setShapes({{4, 10}});
+    graph::Node* targets =
+        g->createNode(graph::NodeKind::Placeholder, "targets");
+    targets->setShapes({{4}});
+    graph::Node* gelu = g->createNode(graph::NodeKind::CallOp, "gelu");
+    gelu->setOp(graph::OpKind::Gelu);
+    gelu->addInput(targets);
+    gelu->setShapes({{4}});
+    graph::Node* loss = g->createNode(graph::NodeKind::CallOp, "loss");
+    loss->setOp(graph::OpKind::CrossEntropyOp);
+    loss->addInput(logits);
+    loss->addInput(gelu);
+    loss->setShapes({{1}});
+    graph::Node* out = g->createNode(graph::NodeKind::Output, "out");
+    out->addInput(loss);
+    out->setShapes({{1}});
+    g->setOutputNode(out);
+
+    Diagnostics diags;
+    analysis::inferGraphShapes(*g, "", diags);
+    EXPECT_TRUE(diags.hasCode("SLP111")) << diags.toString();
+    EXPECT_FALSE(diags.hasCode("SLP103")) << diags.toString();
+
+    // Fed the targets directly, the same loss is clean.
+    loss->replaceInput(gelu, targets);
+    Diagnostics clean;
+    analysis::inferGraphShapes(*g, "", clean);
+    EXPECT_FALSE(clean.hasErrors()) << clean.toString();
+}
+
+TEST(ShapeInfer, AllGatherExtentNotAMultipleIsCaught)
+{
+    // The graph does not record the world size, so an all-gather may
+    // declare any multiple of its input extent on the gather axis — but
+    // only a multiple.
+    auto build = [](const Shape& declared) {
+        auto g = std::make_shared<graph::Graph>();
+        graph::Node* x = g->createNode(graph::NodeKind::Placeholder, "x");
+        x->setShapes({{2, 3}});
+        graph::Node* ag = g->createNode(graph::NodeKind::CallOp, "ag");
+        ag->setOp(graph::OpKind::AllGather);
+        ag->setAttr("axis", int64_t{-1});
+        ag->addInput(x);
+        ag->setShapes({declared});
+        graph::Node* out = g->createNode(graph::NodeKind::Output, "out");
+        out->addInput(ag);
+        out->setShapes({declared});
+        g->setOutputNode(out);
+        Diagnostics diags;
+        analysis::inferGraphShapes(*g, "", diags);
+        return diags;
+    };
+    const Diagnostics gathered = build({2, 6});
+    EXPECT_FALSE(gathered.hasErrors()) << gathered.toString();
+    const Diagnostics ragged = build({2, 7});
+    EXPECT_TRUE(ragged.hasCode("SLP101")) << ragged.toString();
+    EXPECT_FALSE(ragged.hasCode("SLP103")) << ragged.toString();
+}
+
 // --- acceptance: unsafe in-place mark in a memory plan --------------------
 
 /** x -> gelu a -> add(a, x): x stays live until the add. */

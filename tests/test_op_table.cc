@@ -3,7 +3,8 @@
  * The op table (graph/op_schema.h): every OpKind's entry is complete and
  * stable, in-place twins are bit-equal to their kernels, only ops with a
  * twin are planned in place, and static shape inference agrees with
- * execution on seeded random op chains.
+ * execution on seeded random op chains and rejects exactly the malformed
+ * invocations dispatch rejects.
  */
 #include <gtest/gtest.h>
 
@@ -532,6 +533,174 @@ TEST(OpShapes, StaticInferenceMatchesExecutionOnVisionOps)
             values.emplace_back(t);
         }
         expectStaticMatchesExecution(*g, values);
+    }
+}
+
+// --- rejections: the static checker refuses what dispatch refuses ------
+
+/** One malformed invocation of `op`. */
+struct Reject
+{
+    const char* why;
+    OpKind op;
+    std::vector<Shape> operands;
+    graph::AttrMap attrs = {};
+};
+
+/** The static checker's findings on a graph of `r.operands` placeholders
+ * feeding one `r.op` node with `r.attrs`. */
+analysis::Diagnostics
+inferMalformed(const Reject& r)
+{
+    auto g = std::make_shared<graph::Graph>();
+    std::vector<Node*> inputs;
+    for (const Shape& shape : r.operands) {
+        Node* ph = g->createNode(NodeKind::Placeholder, "in");
+        ph->setShapes({shape});
+        inputs.push_back(ph);
+    }
+    Node* call = g->createNode(NodeKind::CallOp, opSchema(r.op).name);
+    call->setOp(r.op);
+    for (Node* in : inputs) {
+        call->addInput(in);
+    }
+    for (const auto& [key, value] : r.attrs) {
+        call->setAttr(key, value);
+    }
+    call->setShapes({{1}});
+    Node* out = g->createNode(NodeKind::Output, "output");
+    out->addInput(call);
+    out->setShapes({{1}});
+    g->setOutputNode(out);
+    analysis::Diagnostics diags;
+    analysis::inferGraphShapes(*g, "", diags);
+    return diags;
+}
+
+TEST(OpShapes, StaticCheckerAndDispatchRejectTheSameInputs)
+{
+    const int64_t zero = 0, one = 1, two = 2;
+    const std::vector<Reject> rejects = {
+        {"shapes do not broadcast", OpKind::Add, {{2, 3}, {4, 3}}},
+        {"shapes do not broadcast", OpKind::Sub, {{2, 3}, {2, 4}}},
+        {"one operand", OpKind::Mul, {{2, 3}}},
+        {"shapes do not broadcast", OpKind::Div, {{2, 3}, {3, 2}}},
+        {"two operands", OpKind::Scale, {{2}, {2}}, {{"factor", 2.0}}},
+        {"no operand", OpKind::AddScalar, {}, {{"value", 1.0}}},
+        {"two operands", OpKind::Gelu, {{2}, {2}}},
+        {"two operands", OpKind::Relu, {{2}, {2}}},
+        {"two operands", OpKind::Tanh, {{2}, {2}}},
+        {"two operands", OpKind::Clamp, {{2}, {2}}, {{"lo", 0.0}, {"hi", 1.0}}},
+        {"two operands", OpKind::RangeMask, {{2}, {2}},
+         {{"lo", 0.0}, {"hi", 1.0}}},
+        {"rank 1", OpKind::CausalMask, {{4}}},
+        {"head count", OpKind::RelPosBias, {{1, 2, 3, 3}, {3, 5}}},
+        {"3-D scores", OpKind::RelPosBias, {{2, 3, 3}, {2, 5}}},
+        {"two operands", OpKind::Softmax, {{2}, {2}}},
+        {"gamma extent", OpKind::LayerNormOp, {{2, 4}, {3}, {4}},
+         {{"eps", 1e-5}}},
+        {"beta extent", OpKind::LayerNormOp, {{2, 4}, {4}, {4, 1}},
+         {{"eps", 1e-5}}},
+        {"rank 0", OpKind::LayerNormOp, {{}, {1}, {1}}, {{"eps", 1e-5}}},
+        {"two operands", OpKind::Dropout, {{2}, {2}},
+         {{"p", 0.1}, {"seed", one}}},
+        {"inner extent", OpKind::Matmul, {{2, 3}, {4, 5}}},
+        {"rank 1", OpKind::Matmul, {{3}, {3, 2}}},
+        {"batch extents", OpKind::Matmul, {{2, 2, 3}, {3, 3, 4}}},
+        {"weight rank", OpKind::LinearOp, {{2, 4}, {4}}},
+        {"in features", OpKind::LinearOp, {{2, 4}, {3, 5}}},
+        {"bias extent", OpKind::LinearOp, {{2, 4}, {3, 4}, {4}}},
+        {"bias rank", OpKind::LinearOp, {{2, 4}, {3, 4}, {3, 1}}},
+        {"rank 0 input", OpKind::LinearOp, {{}, {3, 1}}},
+        {"rank 1", OpKind::TransposeLast2, {{4}}},
+        {"element count", OpKind::Reshape, {{2, 3}},
+         {{"shape", std::vector<int64_t>{5}}}},
+        {"negative extents", OpKind::Reshape, {{2, 3}},
+         {{"shape", std::vector<int64_t>{-2, -3}}}},
+        {"no 'shape'", OpKind::Reshape, {{2, 3}}},
+        {"'shape' not a list", OpKind::Reshape, {{2, 3}}, {{"shape", two}}},
+        {"axis out of range", OpKind::Permute, {{2, 3}},
+         {{"perm", std::vector<int64_t>{0, 5}}}},
+        {"repeated axis", OpKind::Permute, {{2, 3}},
+         {{"perm", std::vector<int64_t>{0, 0}}}},
+        {"negative axis", OpKind::Permute, {{2, 3}},
+         {{"perm", std::vector<int64_t>{-1, 0}}}},
+        {"perm rank", OpKind::Permute, {{2, 3}},
+         {{"perm", std::vector<int64_t>{0}}}},
+        {"lower-rank operand", OpKind::Concat, {{2, 3}, {2}}, {{"axis", one}}},
+        {"off-axis extent", OpKind::Concat, {{2, 3}, {4, 4}}, {{"axis", zero}}},
+        {"axis out of range", OpKind::Concat, {{2, 3}, {2, 3}},
+         {{"axis", two}}},
+        {"axis out of range", OpKind::Narrow, {{2, 3}},
+         {{"axis", int64_t{3}}, {"start", zero}, {"length", one}}},
+        {"zero length", OpKind::Narrow, {{2, 3}},
+         {{"axis", one}, {"start", zero}, {"length", zero}}},
+        {"past the end", OpKind::Narrow, {{2, 3}},
+         {{"axis", one}, {"start", two}, {"length", two}}},
+        {"negative start", OpKind::Narrow, {{2, 3}},
+         {{"axis", one}, {"start", int64_t{-1}}, {"length", one}}},
+        {"3-D table", OpKind::EmbeddingOp, {{2, 4}, {16, 8, 2}}},
+        {"one operand", OpKind::CrossEntropyOp, {{2, 5}}},
+        {"three operands", OpKind::MseLossOp, {{2}, {2}, {2}}},
+        {"zero stride", OpKind::Conv2dOp, {{1, 1, 4, 4}, {1, 1, 3, 3}},
+         {{"stride", zero}, {"pad", zero}}},
+        {"negative stride", OpKind::Conv2dOp, {{1, 1, 4, 4}, {1, 1, 3, 3}},
+         {{"stride", int64_t{-1}}, {"pad", zero}}},
+        {"kernel wider than input", OpKind::Conv2dOp,
+         {{1, 1, 2, 2}, {1, 1, 3, 3}}, {{"stride", two}, {"pad", zero}}},
+        {"channel mismatch", OpKind::Conv2dOp, {{1, 2, 4, 4}, {1, 1, 3, 3}},
+         {{"stride", one}, {"pad", zero}}},
+        {"no 'stride'", OpKind::Conv2dOp, {{1, 1, 4, 4}, {1, 1, 3, 3}},
+         {{"pad", zero}}},
+        {"gamma extent", OpKind::BatchNormOp, {{2, 3, 4, 4}, {4}, {3}},
+         {{"eps", 1e-5}}},
+        {"rank 2", OpKind::BatchNormOp, {{2, 3}, {3}, {3}}, {{"eps", 1e-5}}},
+        {"rank 3", OpKind::GlobalAvgPoolOp, {{2, 3, 4}}},
+        {"two operands", OpKind::AllReduce, {{2}, {2}}, {{"axis", -one}}},
+        {"axis out of range", OpKind::AllGather, {{2, 3}}, {{"axis", two}}},
+        {"no 'axis'", OpKind::AllGather, {{2, 3}}},
+        {"axis out of range", OpKind::ReduceScatter, {{2, 3}},
+         {{"axis", int64_t{-3}}}},
+        {"two operands", OpKind::Identity, {{2}, {2}}},
+    };
+    std::set<OpKind> covered;
+    for (const Reject& r : rejects) {
+        SCOPED_TRACE(std::string(opSchema(r.op).name) + ": " + r.why);
+        covered.insert(r.op);
+        const analysis::Diagnostics diags = inferMalformed(r);
+        EXPECT_TRUE(diags.hasCode("SLP103")) << diags.toString();
+
+        std::vector<Value> operands;
+        for (const Shape& shape : r.operands) {
+            operands.emplace_back(Tensor::meta(shape));
+        }
+        EXPECT_THROW(nn::dispatchOp(r.op, r.attrs, operands), SlapoError);
+    }
+    EXPECT_EQ(covered.size(), graph::kNumOpKinds);
+}
+
+TEST(OpShapes, MalformedOperandsRaiseThroughF)
+{
+    // Each rule runs before its kernel: a rejected invocation raises the
+    // same typed error whether the operands are meta or materialized.
+    namespace F = nn::F;
+    for (const bool materialized : {false, true}) {
+        SCOPED_TRACE(materialized ? "materialized" : "meta");
+        auto make = [&](const Shape& shape) {
+            return materialized ? Value(Tensor::uniform(shape, 1.0f, 3))
+                                : Value(Tensor::meta(shape));
+        };
+        const Value x = make({2, 3});
+        EXPECT_THROW(F::permute(x, {0, 5}), SlapoError);
+        EXPECT_THROW(F::permute(x, {0, 0}), SlapoError);
+        EXPECT_THROW(F::reshape(x, {-2, -3}), SlapoError);
+        EXPECT_THROW(F::concat({x, make({2})}, 1), SlapoError);
+        EXPECT_THROW(F::narrow(x, 3, 0, 1), SlapoError);
+        EXPECT_THROW(F::narrow(x, 1, 0, 0), SlapoError);
+        EXPECT_THROW(F::conv2d(make({1, 1, 4, 4}), make({1, 1, 3, 3}), 0, 0),
+                     SlapoError);
+        EXPECT_THROW(F::linear(x, make({4, 3}), make({3})), SlapoError);
+        EXPECT_THROW(F::layerNorm(x, make({2}), make({3}), 1e-5), SlapoError);
     }
 }
 
